@@ -29,7 +29,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -346,23 +346,43 @@ def _run_replicate(
     )
 
 
-_POOL_CTX: dict = {}
-
-
-def _pool_run(rep: int) -> ReplicateResult:
-    c = _POOL_CTX
-    return _run_replicate(c["sched"], c["clustering"], c["disease"], c["casual"],
-                          c["horizon"], c["seed"], rep, c["members"],
-                          c["only_seed"], c["keep_log"])
-
-
 def thread_count() -> int:
-    """Worker cap from the CORN_THREADS environment variable (default 1)."""
+    """Worker cap from the CORN_THREADS environment variable (default 1).
+
+    Clamped to the machine's core count, so a large value never forks more
+    workers than there are cores.
+    """
     raw = os.environ.get("CORN_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), os.cpu_count() or 1))
     except ValueError:
         raise ConfigError(f"CORN_THREADS={raw!r} is not an integer") from None
+
+
+_worker_job: Callable[[int], Any] | None = None  # set in each worker by _init_worker
+
+
+def _init_worker(job: Callable[[int], Any]) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _call_worker_job(rep: int) -> Any:
+    return _worker_job(rep)
+
+
+def run_replicates(job: Callable[[int], Any], n: int) -> list:
+    """[job(rep) for rep in range(n)], on up to thread_count() forked workers.
+
+    The job reaches the workers through fork, so it may be a closure over
+    large read-only state; only replicate indices and results are pickled.
+    """
+    workers = min(thread_count(), n)
+    if workers <= 1:
+        return [job(rep) for rep in range(n)]
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_init_worker, initargs=(job,)) as pool:
+        return pool.map(_call_worker_job, range(n), chunksize=max(1, n // (workers * 8)))
 
 
 def _seed_member_indices(sched: ContactSchedule, seed_group: str | None) -> tuple[int, ...]:
@@ -420,23 +440,10 @@ def simulate(
     members = _seed_member_indices(sched, cfg.seed_group)
     horizon = cfg.horizon_days if cfg.horizon_days is not None else graph.day_count
 
-    threads = thread_count()
-    if threads > 1 and cfg.replicates > 1:
-        _POOL_CTX.update(
-            sched=sched, clustering=clustering, disease=cfg.disease, casual=cfg.casual,
-            horizon=horizon, seed=cfg.seed, members=members, only_seed=False,
-            keep_log=cfg.keep_transmission_log,
-        )
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(threads) as pool:
-            chunk = max(1, cfg.replicates // (threads * 8))
-            results = pool.map(_pool_run, range(cfg.replicates), chunksize=chunk)
-    else:
-        results = [
-            _run_replicate(sched, clustering, cfg.disease, cfg.casual, horizon,
-                           cfg.seed, rep, members, False, cfg.keep_transmission_log)
-            for rep in range(cfg.replicates)
-        ]
+    results = run_replicates(
+        lambda rep: _run_replicate(sched, clustering, cfg.disease, cfg.casual, horizon,
+                                   cfg.seed, rep, members, False, cfg.keep_transmission_log),
+        cfg.replicates)
     echo = {
         "label": label,
         "rho": cfg.disease.rho,
@@ -473,11 +480,11 @@ def estimate_r0(g: VisitGraph, rho: float, cfg: SimConfig) -> R0Estimate:
     members = _seed_member_indices(sched, cfg.seed_group)
     horizon = cfg.horizon_days if cfg.horizon_days is not None else g.day_count
     horizon = min(horizon, disease.infectious_span + 1)
-    counts = np.empty(cfg.replicates)
-    for rep in range(cfg.replicates):
-        r = _run_replicate(sched, None, disease, cfg.casual, horizon,
-                           cfg.seed, rep, members, only_seed=True)
-        counts[rep] = r.infections_excl_seed
+    results = run_replicates(
+        lambda rep: _run_replicate(sched, None, disease, cfg.casual, horizon,
+                                   cfg.seed, rep, members, only_seed=True),
+        cfg.replicates)
+    counts = np.array([r.infections_excl_seed for r in results], dtype=float)
     se = float(counts.std(ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0
     return R0Estimate(rho=rho, mean=float(counts.mean()), se=se, replicates=cfg.replicates)
 

@@ -12,6 +12,7 @@ Objective: minimize the total weight of separated pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +65,13 @@ class ClusterInstance:
         if self.dist is None:
             return 0.0
         return self.dist.get(a, b)
+
+    def far_pairs(self) -> tuple[tuple[str, str], ...]:
+        """Location pairs farther apart than the diameter cap."""
+        return tuple(
+            (a, b) for a, b in itertools.combinations(self.locations, 2)
+            if self.distance(a, b) > self.d_star_m
+        )
 
     def e_pairs(self) -> tuple[tuple[str, str], ...]:
         """Pairs that get an e variable: positive weight or over the cap."""
@@ -146,11 +154,14 @@ def build_model(inst: ClusterInstance) -> IlpModel:
             "oneBubble", f"oneBubble_{l}",
             {_xvar(l, k): 1.0 for k in range(1, K + 1)}, "=", 1.0))
 
-    cap = math.ceil(len(locs) / K)
+    # sizes within [floor(n/K), ceil(n/K)], as solve and verify_clustering require
+    cap, flr = math.ceil(len(locs) / K), len(locs) // K
     for k in range(1, K + 1):
+        size = {_xvar(l, k): 1.0 for l in locs}
         rows.append(LinearConstraint(
-            "equalSizes", f"equalSizes_{k}",
-            {_xvar(l, k): 1.0 for l in locs}, "<=", float(cap)))
+            "equalSizes", f"equalSizes_{k}", size, "<=", float(cap)))
+        rows.append(LinearConstraint(
+            "equalSizes", f"equalSizes_{k}_floor", size, ">=", float(flr)))
 
     if math.isfinite(inst.d_star_m):
         for a, b in pairs:
@@ -158,14 +169,23 @@ def build_model(inst: ClusterInstance) -> IlpModel:
             rows.append(LinearConstraint(
                 "diameter", f"diameter_{a}_{b}",
                 {_evar(a, b): -d}, "<=", inst.d_star_m - d))
+        # e = 1 alone does not split a pair, and pairs without weight have no
+        # e: no bubble may hold two locations farther apart than the cap
+        for a, b in inst.far_pairs():
+            for k in range(1, K + 1):
+                rows.append(LinearConstraint(
+                    "diameter", f"diameter_{a}_{b}_{k}",
+                    {_xvar(a, k): 1.0, _xvar(b, k): 1.0}, "<=", 1.0))
 
     for lab in inst.groups:
         members = inst.hcps.members(lab)
-        gcap = math.ceil(len(members) / K)
+        gcap, gflr = math.ceil(len(members) / K), len(members) // K
         for k in range(1, K + 1):
+            size = {_zvar(p, k): 1.0 for p in members}
             rows.append(LinearConstraint(
-                "hcpEqual", f"hcpEqual_{lab}_{k}",
-                {_zvar(p, k): 1.0 for p in members}, "<=", float(gcap)))
+                "hcpEqual", f"hcpEqual_{lab}_{k}", size, "<=", float(gcap)))
+            rows.append(LinearConstraint(
+                "hcpEqual", f"hcpEqual_{lab}_{k}_floor", size, ">=", float(gflr)))
 
     for p in subs:
         rows.append(LinearConstraint(
@@ -202,10 +222,10 @@ def count_vars_constraints(m: ClusterInstance | IlpModel) -> tuple[int, int]:
     h = len(inst.groups)
     K = inst.k
     n_vars = ne + n * K + m * K
-    n_cons = 2 * ne * K + n + K
+    n_cons = 2 * ne * K + n + 2 * K
     if math.isfinite(inst.d_star_m):
-        n_cons += ne
-    n_cons += h * K + m
+        n_cons += ne + K * len(inst.far_pairs())
+    n_cons += 2 * h * K + m
     if math.isfinite(inst.y_star_h):
         n_cons += h * K
     return n_vars, n_cons

@@ -13,9 +13,9 @@ clock only ever lands in <out>/manifest.json.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import multiprocessing
 import statistics
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -35,9 +35,9 @@ from .episim import (
     calibrate_rho,
     compare_runs,
     replicates_to_csv,
+    run_replicates,
     simulate,
     summary_to_json,
-    thread_count,
 )
 from .errors import ConfigError, CornError, ValidationError
 from .model import (
@@ -52,7 +52,7 @@ from .model import (
     write_mobility_log,
 )
 from .optimizer import ClusterInstance, SolveResult, build_model, solve, verify_clustering
-from .rewiring import compute_costs, random_clustering, rewire, write_cost_csv
+from .rewiring import CostReport, compute_costs, random_clustering, rewire, write_cost_csv
 from .spatial import load_spatial_graph, save_spatial_graph, shortest_path_metric
 from .synth import FacilitySpec, generate_facility, generate_mobility
 from .weights import weight_matrix, write_weight_csv, z_from_rho
@@ -154,12 +154,8 @@ class SolveFailure(CornError):
         self.status = status
 
 
-# worker context for per-replicate arm jobs (fork-shared, read only)
-_ARM_CTX: dict = {}
-
-
-def _arm_job(rep: int):
-    c = _ARM_CTX
+def _arm_job(c: dict, rep: int):
+    """One arm replicate: rewire, simulate, and cost the first rewirings."""
     graph: VisitGraph = c["graph"]
     if c["method"] == "random":
         clustering = random_clustering(
@@ -173,23 +169,26 @@ def _arm_job(rep: int):
                 keep_same_bubble_hcp=c["keep_same_bubble_hcp"])
     sched = build_contact_schedule(rw.graph)
     members = _seed_member_indices(sched, None)
-    return _run_replicate(sched, clustering, c["disease"], c["casual"],
-                          c["horizon"], c["sim_master"], rep, members)
+    result = _run_replicate(sched, clustering, c["disease"], c["casual"],
+                            c["horizon"], c["sim_master"], rep, members)
+    if rep >= c["cost_rewirings"]:
+        return result, None, None
+    costs = compute_costs(graph, rw, c["dist"], clustering=clustering)
+    row = {
+        "excess_load_mean_h_per_day": statistics.mean(costs.excess_load.values()),
+        "unmet_demand_mean_h_per_day": statistics.mean(costs.unmet_demand.values()),
+        "footsteps_mean_m_per_day": statistics.mean(costs.footsteps.values()),
+        "excess_footsteps_mean_m_per_day": statistics.mean(costs.excess_footsteps.values()),
+        "bubble_diameter_max_m": max(costs.bubble_diameters.values()),
+        "dropped_visits": rw.dropped_count,
+    }
+    return result, row, costs if rep == 0 else None
 
 
-def _run_arm(label: str, ctx: dict, replicates: int) -> SimSummary:
-    global _ARM_CTX
-    _ARM_CTX = ctx
-    workers = thread_count()
-    try:
-        if workers > 1:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = pool.map(_arm_job, range(replicates),
-                                   chunksize=max(1, replicates // (workers * 8)))
-        else:
-            results = [_arm_job(rep) for rep in range(replicates)]
-    finally:
-        _ARM_CTX = {}
+def _run_arm(label: str, ctx: dict,
+             replicates: int) -> tuple[SimSummary, list[dict], CostReport]:
+    """The arm's summary, its cost rows, and the cost report of replicate 0."""
+    out = run_replicates(functools.partial(_arm_job, ctx), replicates)
     d: DiseaseParams = ctx["disease"]
     c: CasualContactModel = ctx["casual"]
     echo = {
@@ -201,32 +200,17 @@ def _run_arm(label: str, ctx: dict, replicates: int) -> SimSummary:
         "casual_duration_min": c.duration_min,
         "horizon_days": ctx["horizon"], "seed": ctx["sim_master"],
     }
-    return _aggregate(label, list(results), echo)
+    summary = _aggregate(label, [r for r, _, _ in out], echo)
+    return summary, [row for _, row, _ in out if row is not None], out[0][2]
 
 
-def _cost_summary(base: VisitGraph, clusterings, rewire_seeds, dist, keep: bool) -> dict:
+def _cost_summary(per: list[dict]) -> dict:
     """Cost aggregates across several independent rewirings."""
-    per = []
-    canonical = None
-    for c, s in zip(clusterings, rewire_seeds):
-        rw = rewire(base, c, seed=s, keep_same_bubble_hcp=keep)
-        rep = compute_costs(base, rw, dist, clustering=c)
-        if canonical is None:
-            canonical = (rw, rep)
-        per.append({
-            "excess_load_mean_h_per_day": statistics.mean(rep.excess_load.values()),
-            "unmet_demand_mean_h_per_day": statistics.mean(rep.unmet_demand.values()),
-            "footsteps_mean_m_per_day": statistics.mean(rep.footsteps.values()),
-            "excess_footsteps_mean_m_per_day": statistics.mean(rep.excess_footsteps.values()),
-            "bubble_diameter_max_m": max(rep.bubble_diameters.values()),
-            "dropped_visits": rw.dropped_count,
-        })
     agg = {
         key: statistics.mean(row[key] for row in per)
         for key in per[0]
     }
-    return {"rewirings": len(per), "means": agg, "per_rewiring": per,
-            "canonical": canonical}
+    return {"rewirings": len(per), "means": agg, "per_rewiring": per}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -342,34 +326,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         clusterings[k] = res.clustering
         save_clustering(res.clustering, reports / f"clustering_corn_k{k}.json")
 
-        corn_ctx = {
-            "graph": graph, "method": "corn", "clustering": res.clustering,
-            "k": k, "l_s": l_s, "seed": cfg.seed,
-            "keep_same_bubble_hcp": cfg.keep_same_bubble_hcp,
+        ctx = {
+            "graph": graph, "clustering": res.clustering, "k": k, "l_s": l_s,
+            "seed": cfg.seed, "keep_same_bubble_hcp": cfg.keep_same_bubble_hcp,
             "disease": disease, "casual": casual, "horizon": horizon,
-            "sim_master": sim_master,
+            "sim_master": sim_master, "dist": dist,
+            "cost_rewirings": min(cfg.cost_rewirings, cfg.replicates),
         }
-        summaries[f"corn_k{k}"] = _run_arm(f"corn_k{k}", corn_ctx, cfg.replicates)
-        random_ctx = dict(corn_ctx, method="random", clustering=None)
-        summaries[f"random_k{k}"] = _run_arm(f"random_k{k}", random_ctx, cfg.replicates)
-
-        n_cost = min(cfg.cost_rewirings, cfg.replicates)
-        corn_costs = _cost_summary(
-            graph, [res.clustering] * n_cost,
-            [derive_seed(cfg.seed, _NS_REWIRE_CORN, k, r) for r in range(n_cost)],
-            dist, cfg.keep_same_bubble_hcp)
-        rand_costs = _cost_summary(
-            graph,
-            [random_clustering(hcps, l_s, k,
-                               seed=derive_seed(cfg.seed, _NS_CLUSTER_RANDOM, k, r))
-             for r in range(n_cost)],
-            [derive_seed(cfg.seed, _NS_REWIRE_RANDOM, k, r) for r in range(n_cost)],
-            dist, cfg.keep_same_bubble_hcp)
-        for method, costs in (("corn", corn_costs), ("random", rand_costs)):
-            rw, rep = costs.pop("canonical")
-            write_cost_csv(rep, reports / f"costs_{method}_k{k}_hcp.csv",
-                           reports / f"costs_{method}_k{k}_loc.csv")
-            _write_json(reports / f"costs_{method}_k{k}.json", costs)
+        for method in ("corn", "random"):
+            label = f"{method}_k{k}"
+            summaries[label], cost_rows, canonical = _run_arm(
+                label, dict(ctx, method=method), cfg.replicates)
+            write_cost_csv(canonical, reports / f"costs_{label}_hcp.csv",
+                           reports / f"costs_{label}_loc.csv")
+            _write_json(reports / f"costs_{label}.json", _cost_summary(cost_rows))
 
     _write_json(reports / "solves.json", solve_records)
 

@@ -32,7 +32,6 @@ class RewiredGraph:
     graph: VisitGraph
     clustering: BubbleClustering
     assigned: tuple[str | None, ...]  # per source visit; None means dropped
-    out_source: tuple[int, ...]  # per output visit, index into source.visits
 
     @property
     def dropped_indices(self) -> tuple[int, ...]:
@@ -121,17 +120,16 @@ def rewire(
         assigned[i] = pick
         cal.claim(pick, v.start_s, v.end_s)
 
-    tagged = sorted(
-        (Visit(v.start_s, v.end_s, h, v.location), i)
-        for i, (v, h) in enumerate(zip(g.visits, assigned))
+    kept = [
+        Visit(v.start_s, v.end_s, h, v.location)
+        for v, h in zip(g.visits, assigned)
         if h is not None
-    )
+    ]
     return RewiredGraph(
         source=g,
-        graph=VisitGraph.build(g.hcps, g.locations, [t[0] for t in tagged]),
+        graph=VisitGraph.build(g.hcps, g.locations, kept),
         clustering=clustering,
         assigned=tuple(assigned),
-        out_source=tuple(t[1] for t in tagged),
     )
 
 

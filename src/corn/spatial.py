@@ -38,25 +38,6 @@ class DistanceMatrix:
     def get(self, a: str, b: str) -> float:
         return self.dist[(a, b)]
 
-    def check_metric(self) -> None:
-        """Raise ParseError if symmetry, identity, or triangle inequality fail."""
-        locs = self.locations
-        for a in locs:
-            if self.dist[(a, a)] != 0.0:
-                raise ParseError(f"nonzero self-distance at {a}")
-            for b in locs:
-                d = self.dist[(a, b)]
-                if not math.isfinite(d) or d < 0:
-                    raise ParseError(f"bad distance {a}-{b}: {d}")
-                if d != self.dist[(b, a)]:
-                    raise ParseError(f"asymmetric distance {a}-{b}")
-        for a in locs:
-            for b in locs:
-                dab = self.dist[(a, b)]
-                for c in locs:
-                    if dab > self.dist[(a, c)] + self.dist[(c, b)] + 1e-9:
-                        raise ParseError(f"triangle inequality fails at ({a},{b},{c})")
-
 
 def load_spatial_graph(path: str | Path) -> SpatialGraph:
     """Parse the spatial JSON: {nodes, edges: [[u,v,length_m]], location_map}."""

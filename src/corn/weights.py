@@ -266,8 +266,10 @@ def load_weight_csv(path: str | Path) -> WeightMatrix:
         raise ParseError(f"{path}: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["loc_a", "loc_b", "weight"]:
         raise ParseError(f"{path}: expected header loc_a,loc_b,weight")
-    for a, b, w in rows[1:]:
-        a, b = a.strip(), b.strip()
+    for row in rows[1:]:
+        if len(row) != 3:
+            raise ParseError(f"{path}: expected 3 fields loc_a,loc_b,weight, got {row}")
+        a, b, w = (c.strip() for c in row)
         if a >= b:
             raise ParseError(f"{path}: pairs must be lexicographic, got {a},{b}")
         try:

@@ -9,6 +9,7 @@ everything else is exact or oracle-backed with frozen seeds.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -327,10 +328,12 @@ class TestModelCounts:
                 m = len(inst.hcps.substitutable)
                 h = len(inst.groups)
                 n_e = len(inst.e_pairs())
+                n_far = sum(1 for a, b in itertools.combinations(inst.locations, 2)
+                            if inst.dist is not None and inst.dist.get(a, b) > inst.d_star_m)
                 want_vars = n_e + n * inst.k + m * inst.k
-                want_cons = (2 * n_e * inst.k + n + inst.k
-                             + (n_e if math.isfinite(inst.d_star_m) else 0)
-                             + h * inst.k + m
+                want_cons = (2 * n_e * inst.k + n + 2 * inst.k
+                             + (n_e + inst.k * n_far if math.isfinite(inst.d_star_m) else 0)
+                             + 2 * h * inst.k + m
                              + (h * inst.k if math.isfinite(inst.y_star_h) else 0))
                 assert count_vars_constraints(model) == (want_vars, want_cons)
                 assert count_vars_constraints(inst) == (want_vars, want_cons)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from corn.episim import (
     contact_infection_prob,
     estimate_r0,
     replicates_to_csv,
+    run_replicates,
     shedding,
     simulate,
     summary_to_json,
+    thread_count,
 )
 from corn.errors import ConfigError, NotBracketedError
 
@@ -383,3 +386,37 @@ class TestExports:
         rep.to_json(path)
         payload = json.loads(path.read_text())
         assert payload["diffs"][0]["mean_diff"] == 0.0
+
+
+class TestWorkers:
+    def test_thread_count_clamped_to_cores(self, monkeypatch):
+        monkeypatch.setenv("CORN_THREADS", "100000")
+        assert thread_count() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert thread_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert thread_count() == 1
+
+    def test_thread_count_floor_and_default(self, monkeypatch):
+        monkeypatch.setenv("CORN_THREADS", "0")
+        assert thread_count() == 1
+        monkeypatch.delenv("CORN_THREADS")
+        assert thread_count() == 1
+
+    def test_thread_count_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("CORN_THREADS", "two")
+        with pytest.raises(ConfigError):
+            thread_count()
+
+    def test_run_replicates_serial(self, monkeypatch):
+        monkeypatch.setenv("CORN_THREADS", "1")
+        assert run_replicates(lambda rep: (rep, os.getpid()), 3) == \
+            [(rep, os.getpid()) for rep in range(3)]
+
+    def test_run_replicates_in_order_on_two_workers(self, monkeypatch):
+        monkeypatch.setenv("CORN_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        scale = 10  # a closure reaches the workers through fork
+        out = run_replicates(lambda rep: (rep * scale, os.getpid()), 7)
+        assert [r for r, _ in out] == [rep * scale for rep in range(7)]
+        assert os.getpid() not in {pid for _, pid in out}

@@ -83,11 +83,21 @@ def random_instance(rng: np.random.Generator) -> ClusterInstance:
 class TestCounts:
     def test_four_location_worked_example(self):
         inst = four_loc_instance(k=2, d_star=15.0)
-        assert count_vars_constraints(build_model(inst)) == (14, 36)
+        assert count_vars_constraints(build_model(inst)) == (14, 38)
 
     def test_unbounded_drops_diameter_rows(self):
         inst = four_loc_instance(k=2)
-        assert count_vars_constraints(build_model(inst)) == (14, 30)
+        assert count_vars_constraints(build_model(inst)) == (14, 32)
+
+    def test_far_pair_rows_per_bubble(self):
+        inst = four_loc_instance(k=2, d_star=15.0)
+        dist = dict(inst.dist.dist)
+        dist[("l1", "l2")] = dist[("l2", "l1")] = 20.0
+        inst = ClusterInstance(weights=inst.weights, hcps=inst.hcps, k=2, d_star_m=15.0,
+                               dist=DistanceMatrix(locations=inst.locations, dist=dist))
+        model = build_model(inst)
+        assert count_vars_constraints(model) == (14, 40)
+        assert len([c for c in model.constraints if c.name.startswith("diameter_l1_l2")]) == 3
 
     def test_k1_two_locations(self):
         inst = ClusterInstance(
@@ -111,10 +121,12 @@ class TestCounts:
             m = len(inst.hcps.substitutable)
             h = len(inst.groups)
             n_e = len(inst.e_pairs())
+            n_far = sum(1 for a, b in itertools.combinations(inst.locations, 2)
+                        if inst.dist is not None and inst.dist.get(a, b) > inst.d_star_m)
             want_vars = n_e + n * inst.k + m * inst.k
-            want_cons = (2 * n_e * inst.k + n + inst.k
-                         + (n_e if math.isfinite(inst.d_star_m) else 0)
-                         + h * inst.k + m
+            want_cons = (2 * n_e * inst.k + n + 2 * inst.k
+                         + (n_e + inst.k * n_far if math.isfinite(inst.d_star_m) else 0)
+                         + 2 * h * inst.k + m
                          + (h * inst.k if math.isfinite(inst.y_star_h) else 0))
             assert count_vars_constraints(model) == (want_vars, want_cons)
             assert count_vars_constraints(inst) == (want_vars, want_cons)
@@ -290,3 +302,51 @@ class TestCanonicalize:
         assert canon.location_bubble["l1"] == 1
         assert cut_value(canon, weights) == pytest.approx(cut_value(c, weights))
         assert sorted(canon.location_bubble.values()) == sorted(c.location_bubble.values())
+
+
+def milp_optimum(model) -> float | None:
+    """Optimum of the exported rows by HiGHS, or None if they are infeasible."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    col = {v: i for i, v in enumerate(model.variables)}
+    rows, cols, vals, lo, hi = [], [], [], [], []
+    for r, con in enumerate(model.constraints):
+        for var, coef in con.coeffs.items():
+            rows.append(r)
+            cols.append(col[var])
+            vals.append(coef)
+        lo.append(-np.inf if con.sense == "<=" else con.rhs)
+        hi.append(np.inf if con.sense == ">=" else con.rhs)
+    nv = len(model.variables)
+    c = np.zeros(nv)
+    for var, coef in model.objective.items():
+        c[col[var]] = coef
+    a = coo_matrix((vals, (rows, cols)), shape=(len(lo), nv)).tocsr()
+    res = milp(c, constraints=LinearConstraint(a, lo, hi), integrality=np.ones(nv),
+               bounds=Bounds(np.zeros(nv), np.ones(nv)))
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestExportedRowsAgainstBrute:
+    """An external MILP solver on build_model's rows finds the brute-force optimum."""
+
+    def test_random_instances_with_and_without_caps(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(2024)
+        capped = uncapped = 0
+        for _ in range(100):
+            inst = random_instance(rng)
+            got = milp_optimum(build_model(inst))
+            want = brute_force_solve(inst)
+            if want.status == "optimal":
+                assert got == pytest.approx(want.objective, abs=1e-6)
+            else:
+                assert got is None
+            has_cap = math.isfinite(inst.d_star_m) or math.isfinite(inst.y_star_h)
+            capped += has_cap
+            uncapped += not has_cap
+        assert capped and uncapped

@@ -1,0 +1,130 @@
+"""The replicate runner's worker pool and the arms' cost rows.
+
+Runs the small facility of acceptance [8] with one worker and with two
+forked workers; the pool path must not change a single output byte. The
+cost report is recomputed here from rewire + compute_costs with the
+experiment's own seeds, independently of the pipeline's bookkeeping.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from corn.clustering import load_clustering
+from corn.episim import DiseaseParams, SimConfig, estimate_r0, simulate
+from corn.pipeline import ExperimentConfig, derive_seed, run_experiment
+from corn.rewiring import compute_costs, random_clustering, rewire, write_cost_csv
+from corn.spatial import shortest_path_metric
+from corn.synth import FacilitySpec, generate_facility, generate_mobility
+
+SPEC = FacilitySpec(
+    rooms=6, hallway_nodes=3, hcp_groups=(("n", 4),),
+    non_substitutable=1, corridor_length_m=20.0, shift_length_h=8.0,
+    visits_per_hcp_per_day=6, visit_duration_min=15.0, locality=0.6,
+    days=2, seed=3, zones=2,
+)
+CFG = ExperimentConfig(
+    facility=SPEC, k_list=(1, 2), replicates=5, seed=0, target_r0=1.0,
+    calibration_replicates=40, cost_rewirings=3,
+)
+# spawn keys of the pipeline's seed namespaces
+NS_REWIRE = {"corn": 2, "random": 3}
+NS_CLUSTER_RANDOM = 4
+
+
+def two_workers(mp: pytest.MonkeyPatch) -> None:
+    mp.setenv("CORN_THREADS", "2")
+    mp.setattr(os, "cpu_count", lambda: 2)
+
+
+def tree_hashes(root: Path) -> dict[str, str]:
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+@pytest.fixture(scope="module")
+def facility():
+    fac = generate_facility(SPEC)
+    return fac, generate_mobility(fac, SPEC)
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pool")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CORN_THREADS", "1")
+        run_experiment(CFG, root / "one")
+        two_workers(mp)
+        run_experiment(CFG, root / "two")
+    return root / "one" / "reports", root / "two" / "reports"
+
+
+class TestTwoWorkers:
+    def test_simulate(self, facility, monkeypatch):
+        _, g = facility
+        cfg = SimConfig(disease=DiseaseParams(rho=0.2), replicates=12, seed=4,
+                        keep_transmission_log=True)
+        c = random_clustering(g.hcps, g.locations.substitutable, 2, seed=1)
+        one = [simulate(g, None, cfg), simulate(rewire(g, c, seed=2), None, cfg)]
+        assert len(set(one[0].infection_counts())) > 1
+        two_workers(monkeypatch)
+        assert [simulate(g, None, cfg), simulate(rewire(g, c, seed=2), None, cfg)] == one
+
+    def test_estimate_r0(self, facility, monkeypatch):
+        _, g = facility
+        cfg = SimConfig(disease=DiseaseParams(rho=0.0), replicates=12, seed=4)
+        one = estimate_r0(g, 0.2, cfg)
+        assert one.mean > 0.0
+        two_workers(monkeypatch)
+        assert estimate_r0(g, 0.2, cfg) == one
+
+    def test_experiment_reports_identical(self, runs):
+        one, two = runs
+        assert json.loads((one / "params.json").read_text())["source"] == "calibrated"
+        hashes = tree_hashes(one)
+        assert hashes and hashes == tree_hashes(two)
+
+
+class TestCostRows:
+    @pytest.mark.parametrize("method", ["corn", "random"])
+    @pytest.mark.parametrize("k", CFG.k_list)
+    def test_rows_are_the_arms_rewirings(self, runs, facility, tmp_path, method, k):
+        reports, _ = runs
+        (spatial, _, locations), g = facility
+        dist = shortest_path_metric(spatial, list(locations.ids))
+        got = json.loads((reports / f"costs_{method}_k{k}.json").read_text())
+        assert got["rewirings"] == CFG.cost_rewirings < CFG.replicates
+        assert len(got["per_rewiring"]) == CFG.cost_rewirings
+        for r, row in enumerate(got["per_rewiring"]):
+            if method == "corn":
+                c = load_clustering(reports / f"clustering_corn_k{k}.json")
+            else:
+                c = random_clustering(g.hcps, g.locations.substitutable, k,
+                                      seed=derive_seed(CFG.seed, NS_CLUSTER_RANDOM, k, r))
+            rw = rewire(g, c, seed=derive_seed(CFG.seed, NS_REWIRE[method], k, r))
+            rep = compute_costs(g, rw, dist, clustering=c)
+            want = {
+                "excess_load_mean_h_per_day": np.mean(list(rep.excess_load.values())),
+                "unmet_demand_mean_h_per_day": np.mean(list(rep.unmet_demand.values())),
+                "footsteps_mean_m_per_day": np.mean(list(rep.footsteps.values())),
+                "excess_footsteps_mean_m_per_day":
+                    np.mean(list(rep.excess_footsteps.values())),
+                "bubble_diameter_max_m": max(rep.bubble_diameters.values()),
+                "dropped_visits": len([h for h in rw.assigned if h is None]),
+            }
+            assert row == pytest.approx(want, rel=1e-12, abs=1e-12)
+            if r == 0:
+                write_cost_csv(rep, tmp_path / "hcp.csv", tmp_path / "loc.csv")
+                for part in ("hcp", "loc"):
+                    assert ((reports / f"costs_{method}_k{k}_{part}.csv").read_bytes()
+                            == (tmp_path / f"{part}.csv").read_bytes())
+        for key, mean in got["means"].items():
+            assert mean == pytest.approx(np.mean([row[key] for row in got["per_rewiring"]]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corn.errors import NotChoppedError, TooLargeError
+from corn.errors import NotChoppedError, ParseError, TooLargeError
 from corn.model import chop_intervals
 from corn.weights import (
     directed_weight,
@@ -184,6 +184,13 @@ class TestWeightMatrix:
         write_weight_csv(wm, tmp_path / "w.csv")
         wm2 = load_weight_csv(tmp_path / "w.csv")
         assert wm2.w == wm.w
+
+    @pytest.mark.parametrize("body", ["r00,r01\n", "r00,r01,0.5,extra\n", "\n"])
+    def test_csv_row_without_three_fields(self, tmp_path, body):
+        path = tmp_path / "w.csv"
+        path.write_text("loc_a,loc_b,weight\n" + body)
+        with pytest.raises(ParseError):
+            load_weight_csv(path)
 
 
 class TestZFromRho:
