@@ -216,7 +216,7 @@ def cmd_cluster(args, argv) -> int:
     inst = _build_instance(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    res = solve(build_model(inst), time_limit_s=args.time_limit_s, seed=args.seed)
+    res = solve(build_model(inst), time_limit_s=args.time_limit_s)
     record = {
         "status": res.status, "objective": res.objective, "bound": res.bound,
         "nodes": res.nodes, "runtime_s": res.runtime_s,

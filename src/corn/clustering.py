@@ -23,9 +23,6 @@ class BubbleClustering:
     def locations_in(self, bubble: int) -> tuple[str, ...]:
         return tuple(sorted(l for l, b in self.location_bubble.items() if b == bubble))
 
-    def hcps_in(self, bubble: int) -> tuple[str, ...]:
-        return tuple(sorted(h for h, b in self.hcp_bubble.items() if b == bubble))
-
     def check(self) -> None:
         for name, mapping in (("location", self.location_bubble), ("hcp", self.hcp_bubble)):
             for entity, b in mapping.items():
@@ -77,7 +74,7 @@ def load_clustering(path: str | Path) -> BubbleClustering:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         c = BubbleClustering(
@@ -86,7 +83,7 @@ def load_clustering(path: str | Path) -> BubbleClustering:
             hcp_bubble={str(h): int(b) for h, b in raw["hcp_bubble"].items()},
             objective_value=None if raw.get("objective_value") is None else float(raw["objective_value"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     c.check()
     if c.objective_value is not None and not math.isfinite(c.objective_value):

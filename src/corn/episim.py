@@ -317,6 +317,7 @@ def _run_replicate(
             log.append(TransmissionEvent(
                 day, t_s, sched.agent_ids[src], sched.agent_ids[dst], loc))
 
+    base = 0  # casual contacts of the days before this one
     for day in range(horizon):
         slot = sched.by_day_agent.get(day, {})
         cand: set[int] = set()
@@ -329,10 +330,10 @@ def _run_replicate(
                       float(sched.ev_dur[idx]), float(u_sched[idx]),
                       sched.ev_loc[idx], int(sched.ev_t[idx]),
                       bool(sched.ev_hh[idx]))
-        base = sum(len(casual_by_day[d]) for d in range(day))
         for ci, (a, b) in enumerate(casual_by_day[day]):
             try_event(day, a, b, casual.duration_min, float(u_casual[base + ci]),
                       CASUAL_LOCATION, day * SECONDS_PER_DAY, True)
+        base += len(casual_by_day[day])
 
     total = int((day_of >= 0).sum())
     return ReplicateResult(

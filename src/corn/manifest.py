@@ -65,5 +65,5 @@ def load_manifest(path: str | Path) -> RunManifest:
     try:
         raw = json.loads(path.read_text())
         return RunManifest(**raw)
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -99,12 +99,6 @@ class VisitGraph:
     def build(hcps: HcpRoster, locations: LocationRoster, visits: Iterable[Visit]) -> "VisitGraph":
         return VisitGraph(hcps, locations, tuple(sorted(visits)))
 
-    def visits_of_hcp(self, hcp: str) -> tuple[Visit, ...]:
-        return tuple(v for v in self.visits if v.hcp == hcp)
-
-    def visits_at(self, location: str) -> tuple[Visit, ...]:
-        return tuple(v for v in self.visits if v.location == location)
-
     @property
     def max_end_s(self) -> int:
         return max((v.end_s for v in self.visits), default=0)
@@ -135,7 +129,7 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> list[list[str]]:
     try:
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != expected_header:
         raise ParseError(f"{path}: expected header {','.join(expected_header)}")

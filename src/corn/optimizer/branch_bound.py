@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..clustering import BubbleClustering, canonicalize, cut_value
-from .model import ClusterInstance, IlpModel
+from .model import TOL, ClusterInstance, IlpModel, balanced
 from .simplex import STATUS_INFEASIBLE as LP_INFEASIBLE
 from .simplex import STATUS_OPTIMAL as LP_OPTIMAL
 from .simplex import solve_lp
@@ -29,7 +29,11 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_TIMEOUT = "timeout"
 
-_EPS = 1e-9
+# LP bounds run only on instances this small, at most this many times,
+# and only in the top levels of the search
+_LP_MAX_LOCATIONS = 15
+_LP_NODE_BUDGET = 200
+_LP_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -42,16 +46,6 @@ class SolveResult:
     runtime_s: float
 
 
-def _group_need(inst: ClusterInstance, bubble_locs: list[list[str]]) -> list[float]:
-    if not math.isfinite(inst.y_star_h):
-        return [0.0] * len(bubble_locs)
-    assert inst.loads is not None
-    return [
-        max(0.0, sum(inst.loads.demands[l] for l in locs) - inst.y_star_h)
-        for locs in bubble_locs
-    ]
-
-
 def _assign_one_group(
     members: list[str],
     loads: dict[str, float],
@@ -59,7 +53,7 @@ def _assign_one_group(
     need: list[float],
 ) -> dict[str, int] | None:
     """Balanced assignment of one group covering per-bubble load needs."""
-    flr, cl = len(members) // k, math.ceil(len(members) / k)
+    flr, cl = balanced(len(members), k)
     order = sorted(members, key=lambda p: (-loads.get(p, 0.0), p))
     lvals = [loads.get(p, 0.0) for p in order]
     suffix = [0.0] * (len(order) + 1)
@@ -74,13 +68,13 @@ def _assign_one_group(
         rest = len(order) - i
         if sum(max(0, flr - c) for c in cnt) > rest:
             return False
-        if sum(max(0.0, need[b] - load[b]) for b in range(k)) > suffix[i] + _EPS:
+        if sum(max(0.0, need[b] - load[b]) for b in range(k)) > suffix[i] + TOL:
             return False
         return True
 
     def rec(i: int) -> bool:
         if i == len(order):
-            return all(cnt[b] >= flr and load[b] >= need[b] - _EPS for b in range(k))
+            return all(cnt[b] >= flr and load[b] >= need[b] - TOL for b in range(k))
         tried: set[tuple[int, float, float]] = set()
         for b in range(k):
             if cnt[b] >= cl:
@@ -105,7 +99,7 @@ def _assign_one_group(
 
 
 def _assign_groups(inst: ClusterInstance, bubble_locs: list[list[str]]) -> dict[str, int] | None:
-    need = _group_need(inst, bubble_locs)
+    need = [inst.load_need(locs) for locs in bubble_locs]
     loads = inst.loads.loads if inst.loads is not None else {}
     combined: dict[str, int] = {}
     for lab in inst.groups:
@@ -118,7 +112,7 @@ def _assign_groups(inst: ClusterInstance, bubble_locs: list[list[str]]) -> dict[
 
 
 class _Search:
-    def __init__(self, model: IlpModel, lp_max_locations: int, lp_node_budget: int):
+    def __init__(self, model: IlpModel):
         inst = model.instance
         self.inst = inst
         self.K = inst.k
@@ -135,15 +129,12 @@ class _Search:
         for a, b in inst.weights.pairs():
             i, j = self.idx[a], self.idx[b]
             self.W[i, j] = self.W[j, i] = inst.weights.get(a, b)
-        self.D = np.zeros((self.n, self.n))
-        if inst.dist is not None:
-            for i, a in enumerate(self.order):
-                for j, b in enumerate(self.order):
-                    if i < j:
-                        d = inst.dist.get(a, b)
-                        self.D[i, j] = self.D[j, i] = d
-        self.cap = math.ceil(self.n / self.K)
-        self.flr = self.n // self.K
+        self.far = np.zeros((self.n, self.n), dtype=bool)
+        for a, b in inst.far_pairs():
+            i, j = self.idx[a], self.idx[b]
+            self.far[i, j] = self.far[j, i] = True
+        self.conflicts = [(int(i), int(j)) for i, j in np.argwhere(np.triu(self.far))]
+        self.flr, self.cap = balanced(self.n, self.K)
         ii, jj = np.triu_indices(self.n, 1)
         pos = self.W[ii, jj] > 0.0
         ws = self.W[ii, jj][pos]
@@ -151,12 +142,6 @@ class _Search:
         self.pair_w = ws[asc]
         self.pair_i = ii[pos][asc]
         self.pair_j = jj[pos][asc]
-        self.conflicts = []
-        if math.isfinite(inst.d_star_m):
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    if self.D[i, j] > inst.d_star_m + _EPS:
-                        self.conflicts.append((i, j))
 
         self.bubble = np.full(self.n, -1, dtype=int)
         self.size = [0] * self.K
@@ -172,8 +157,8 @@ class _Search:
         self.timed_out = False
         self.frontier_bound = math.inf
         self.deadline: float | None = None
-        self.use_lp = self.n <= lp_max_locations
-        self.lp_budget = lp_node_budget
+        self.use_lp = self.n <= _LP_MAX_LOCATIONS
+        self.lp_budget = _LP_NODE_BUDGET
         self.hcp_needed = math.isfinite(inst.y_star_h) and bool(inst.groups)
 
     # -- incremental assignment bookkeeping
@@ -201,12 +186,7 @@ class _Search:
         self.bubble[u] = -1
 
     def _diameter_ok(self, u: int, b: int) -> bool:
-        if not math.isfinite(self.inst.d_star_m):
-            return True
-        for v in self.members[b]:
-            if self.D[u, v] > self.inst.d_star_m + _EPS:
-                return False
-        return True
+        return not self.conflicts or not self.far[u, self.members[b]].any()
 
     def _floors_ok(self, remaining: int) -> bool:
         deficit = sum(max(0, self.flr - s) for s in self.size if s > 0)
@@ -338,7 +318,7 @@ class _Search:
             for lab in self.inst.groups:
                 for i, p in enumerate(sorted(self.inst.hcps.members(lab))):
                     hcp[p] = (i % self.K) + 1
-        if self.committed < self.incumbent - _EPS:
+        if self.committed < self.incumbent - TOL:
             self.incumbent = self.committed
             self.best = BubbleClustering(
                 k=self.K,
@@ -395,7 +375,7 @@ class _Search:
             self._close_leaf()
             return
         bound = self._comb_bound(pos)
-        if bound >= self.incumbent - _EPS:
+        if bound >= self.incumbent - TOL:
             return
         if (
             self.use_lp
@@ -407,7 +387,7 @@ class _Search:
             lp = self._lp_bound(pos)
             if lp is None:
                 return
-            if lp >= self.incumbent - _EPS:
+            if lp >= self.incumbent - TOL:
                 return
 
         u = pos
@@ -431,24 +411,16 @@ class _Search:
                 return
 
 
-def solve(
-    model: IlpModel,
-    time_limit_s: float | None = None,
-    seed: int = 0,
-    lp_max_locations: int = 15,
-    lp_node_budget: int = 200,
-    lp_depth: int = 3,
-) -> SolveResult:
-    """Exact solve; `seed` is accepted for interface stability, the search
-    itself is deterministic."""
+def solve(model: IlpModel, time_limit_s: float | None = None) -> SolveResult:
+    """Exact, deterministic solve; a timeout reports the best bound reached."""
     inst = model.instance
     inst.check()
     t0 = time.monotonic()
-    s = _Search(model, lp_max_locations, lp_node_budget)
+    s = _Search(model)
     if time_limit_s is not None:
         s.deadline = t0 + time_limit_s
     s._greedy()
-    s._dfs(0, lp_depth)
+    s._dfs(0, _LP_DEPTH)
     runtime = time.monotonic() - t0
 
     if s.best is not None:
@@ -466,55 +438,55 @@ def solve(
     return SolveResult(STATUS_OPTIMAL, best, obj, obj, s.nodes, runtime)
 
 
-def verify_clustering(c: BubbleClustering, inst: ClusterInstance, tol: float = 1e-9) -> list[str]:
+def verify_clustering(c: BubbleClustering, inst: ClusterInstance) -> list[str]:
     """Re-check every feasibility rule directly against the raw inputs."""
+    inst.check()
     problems: list[str] = []
     locs = set(inst.locations)
     if set(c.location_bubble) != locs:
         problems.append("location coverage differs from the substitutable set")
-    n, K = len(inst.locations), c.k
+    K = c.k
     if K != inst.k:
         problems.append(f"clustering k={c.k} differs from instance k={inst.k}")
-    flr, cl = n // K, math.ceil(n / K)
+    flr, cl = balanced(len(inst.locations), K)
     for b in range(1, K + 1):
         group = c.locations_in(b)
         if not flr <= len(group) <= cl:
             problems.append(f"bubble {b} holds {len(group)} locations, outside [{flr},{cl}]")
         if not group:
             problems.append(f"bubble {b} is empty")
-        if inst.dist is not None and math.isfinite(inst.d_star_m):
-            for i, a in enumerate(group):
-                for bb in group[i + 1:]:
-                    d = inst.dist.get(a, bb)
-                    if d > inst.d_star_m + tol:
-                        problems.append(
-                            f"bubble {b}: dist({a},{bb})={d:g} exceeds cap {inst.d_star_m:g}")
+        for i, a in enumerate(group):
+            for bb in group[i + 1:]:
+                if inst.too_far(a, bb):
+                    problems.append(
+                        f"bubble {b}: dist({a},{bb})={inst.distance(a, bb):g} "
+                        f"exceeds cap {inst.d_star_m:g}")
     subs = set(inst.hcps.substitutable)
     if set(c.hcp_bubble) != subs:
         problems.append("HCP coverage differs from the substitutable set")
     for lab in inst.groups:
         members = inst.hcps.members(lab)
-        gf, gc = len(members) // K, math.ceil(len(members) / K)
+        gf, gc = balanced(len(members), K)
         for b in range(1, K + 1):
             size = sum(1 for p in members if c.hcp_bubble.get(p) == b)
             if not gf <= size <= gc:
                 problems.append(f"group {lab} bubble {b}: {size} members outside [{gf},{gc}]")
-    if math.isfinite(inst.y_star_h) and inst.loads is not None:
+    if math.isfinite(inst.y_star_h):
         for b in range(1, K + 1):
-            demand = sum(inst.loads.demands[l] for l in c.locations_in(b))
+            need = inst.load_need(c.locations_in(b))
             for lab in inst.groups:
                 load = sum(
                     inst.loads.loads.get(p, 0.0)
                     for p in inst.hcps.members(lab)
                     if c.hcp_bubble.get(p) == b
                 )
-                if demand - load > inst.y_star_h + tol:
+                if load < need - TOL:
                     problems.append(
-                        f"bubble {b} group {lab}: load gap {demand - load:g} exceeds "
-                        f"{inst.y_star_h:g}")
+                        f"bubble {b} group {lab}: load {load:g} is below the {need:g} "
+                        f"that cap {inst.y_star_h:g} requires")
     if c.objective_value is not None:
         recomputed = cut_value(c, inst.weights)
-        if abs(recomputed - c.objective_value) > 1e-9:
+        if abs(recomputed - c.objective_value) > TOL:
             problems.append(
                 f"objective {c.objective_value!r} != recomputed {recomputed!r}")
     return problems

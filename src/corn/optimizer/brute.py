@@ -2,8 +2,10 @@
 
 Enumerates every balanced unordered partition of the substitutable
 locations, filters by the diameter cap, then enumerates HCP-group
-assignments outright. Only the shared objective evaluator (cut_value)
-is reused, since both solvers must report that recomputed number.
+assignments outright. It shares the rule predicates of the model
+(`balanced`, `ClusterInstance.too_far`, `ClusterInstance.load_need`) and
+the objective evaluator (cut_value) with the search, not the search
+itself.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from .branch_bound import (
     STATUS_OPTIMAL,
     SolveResult,
 )
-from .model import ClusterInstance
+from .model import TOL, ClusterInstance, balanced
 
-_EPS = 1e-9
 _MAX_LOCATIONS = 10
 _MAX_GROUP_ENUM = 2_000_000
 
@@ -51,7 +52,7 @@ def _group_ok(
     if k ** len(members) > _MAX_GROUP_ENUM:
         raise TooLargeError(
             f"group of {len(members)} over {k} bubbles is too large to enumerate")
-    flr, cl = len(members) // k, math.ceil(len(members) / k)
+    flr, cl = balanced(len(members), k)
     for combo in itertools.product(range(k), repeat=len(members)):
         counts = [0] * k
         load = [0.0] * k
@@ -59,7 +60,7 @@ def _group_ok(
             counts[b] += 1
             load[b] += loads.get(p, 0.0)
         if all(flr <= c <= cl for c in counts) and all(
-            load[b] >= need[b] - _EPS for b in range(k)
+            load[b] >= need[b] - TOL for b in range(k)
         ):
             return {p: b + 1 for p, b in zip(members, combo)}
     return None
@@ -72,7 +73,7 @@ def brute_force_solve(inst: ClusterInstance) -> SolveResult:
         raise TooLargeError(f"{n} locations exceed the brute-force cap of {_MAX_LOCATIONS}")
     t0 = time.monotonic()
     K = inst.k
-    flr = n // K
+    flr, _ = balanced(n, K)
     extra = n - K * flr
     sizes = tuple([flr + 1] * extra + [flr] * (K - extra))
     loads = inst.loads.loads if inst.loads is not None else {}
@@ -82,25 +83,10 @@ def brute_force_solve(inst: ClusterInstance) -> SolveResult:
     examined = 0
     for groups in _partitions(tuple(sorted(inst.locations)), sizes):
         examined += 1
-        if math.isfinite(inst.d_star_m) and inst.dist is not None:
-            bad = False
-            for group in groups:
-                for a, b in itertools.combinations(group, 2):
-                    if inst.dist.get(a, b) > inst.d_star_m + _EPS:
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                continue
-        if math.isfinite(inst.y_star_h):
-            assert inst.loads is not None
-            need = [
-                max(0.0, sum(inst.loads.demands[l] for l in group) - inst.y_star_h)
-                for group in groups
-            ]
-        else:
-            need = [0.0] * K
+        if any(inst.too_far(a, b)
+               for group in groups for a, b in itertools.combinations(group, 2)):
+            continue
+        need = [inst.load_need(group) for group in groups]
         hcp: dict[str, int] = {}
         feasible = True
         for lab in inst.groups:
@@ -117,7 +103,7 @@ def brute_force_solve(inst: ClusterInstance) -> SolveResult:
             hcp_bubble=hcp,
         )
         obj = cut_value(cand, inst.weights)
-        if obj < best_obj - _EPS:
+        if obj < best_obj - TOL:
             best_obj = obj
             best = cand
     runtime = time.monotonic() - t0

@@ -8,18 +8,32 @@ Variables, all binary:
   z_{p}_{k}   substitutable HCP p is assigned to bubble k
 
 Objective: minimize the total weight of separated pairs.
+
+The feasibility rules live here once: `balanced` gives the size floor and
+ceiling, `ClusterInstance.too_far` the diameter cap and
+`ClusterInstance.load_need` the load-gap cap, all with the tolerance TOL.
+The search, brute force, verification and the exported rows read them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import ConfigError, InvalidKError
 from ..model import HcpRoster, LoadDemandTable
 from ..spatial import DistanceMatrix
 from ..weights import WeightMatrix
+
+# absolute tolerance of every cap and objective comparison in the optimizer
+TOL = 1e-9
+
+
+def balanced(count: int, k: int) -> tuple[int, int]:
+    """Floor and ceiling of each bubble's share of count items over k bubbles."""
+    return count // k, math.ceil(count / k)
 
 
 @dataclass(frozen=True)
@@ -66,27 +80,33 @@ class ClusterInstance:
             return 0.0
         return self.dist.get(a, b)
 
+    def too_far(self, a: str, b: str) -> bool:
+        """a and b may not share a bubble under the diameter cap."""
+        return self.distance(a, b) > self.d_star_m + TOL
+
+    def load_need(self, locs: Iterable[str]) -> float:
+        """Load each HCP group must bring to a bubble holding locs."""
+        if not math.isfinite(self.y_star_h):
+            return 0.0
+        return max(0.0, sum(self.loads.demands[l] for l in locs) - self.y_star_h)
+
     def far_pairs(self) -> tuple[tuple[str, str], ...]:
         """Location pairs farther apart than the diameter cap."""
         return tuple(
             (a, b) for a, b in itertools.combinations(self.locations, 2)
-            if self.distance(a, b) > self.d_star_m
+            if self.too_far(a, b)
         )
 
     def e_pairs(self) -> tuple[tuple[str, str], ...]:
         """Pairs that get an e variable: positive weight or over the cap."""
-        out = []
-        for a, b in self.weights.pairs():
-            if self.weights.get(a, b) > 0.0:
-                out.append((a, b))
-            elif math.isfinite(self.d_star_m) and self.distance(a, b) > self.d_star_m:
-                out.append((a, b))
-        return tuple(out)
+        return tuple(
+            (a, b) for a, b in self.weights.pairs()
+            if self.weights.get(a, b) > 0.0 or self.too_far(a, b)
+        )
 
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    family: str
     name: str
     coeffs: dict[str, float]
     sense: str  # "<=", ">=", "="
@@ -99,13 +119,6 @@ class IlpModel:
     variables: tuple[str, ...]
     objective: dict[str, float]
     constraints: tuple[LinearConstraint, ...]
-    e_pairs: tuple[tuple[str, str], ...] = field(default=())
-
-    def constraint_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for c in self.constraints:
-            counts[c.family] = counts.get(c.family, 0) + 1
-        return counts
 
 
 def _evar(a: str, b: str) -> str:
@@ -143,57 +156,56 @@ def build_model(inst: ClusterInstance) -> IlpModel:
         for k in range(1, K + 1):
             xa, xb = _xvar(a, k), _xvar(b, k)
             rows.append(LinearConstraint(
-                "connect1", f"connect1_{a}_{b}_{k}",
+                f"connect1_{a}_{b}_{k}",
                 {e: 1.0, xa: -1.0, xb: 1.0}, ">=", 0.0))
             rows.append(LinearConstraint(
-                "connect2", f"connect2_{a}_{b}_{k}",
+                f"connect2_{a}_{b}_{k}",
                 {e: 1.0, xa: 1.0, xb: -1.0}, ">=", 0.0))
 
     for l in locs:
         rows.append(LinearConstraint(
-            "oneBubble", f"oneBubble_{l}",
+            f"oneBubble_{l}",
             {_xvar(l, k): 1.0 for k in range(1, K + 1)}, "=", 1.0))
 
-    # sizes within [floor(n/K), ceil(n/K)], as solve and verify_clustering require
-    cap, flr = math.ceil(len(locs) / K), len(locs) // K
+    flr, cap = balanced(len(locs), K)
     for k in range(1, K + 1):
         size = {_xvar(l, k): 1.0 for l in locs}
         rows.append(LinearConstraint(
-            "equalSizes", f"equalSizes_{k}", size, "<=", float(cap)))
+            f"equalSizes_{k}", size, "<=", float(cap)))
         rows.append(LinearConstraint(
-            "equalSizes", f"equalSizes_{k}_floor", size, ">=", float(flr)))
+            f"equalSizes_{k}_floor", size, ">=", float(flr)))
 
+    # the cap rows carry TOL, so they admit exactly what too_far and load_need do
     if math.isfinite(inst.d_star_m):
         for a, b in pairs:
             d = inst.distance(a, b)
             rows.append(LinearConstraint(
-                "diameter", f"diameter_{a}_{b}",
-                {_evar(a, b): -d}, "<=", inst.d_star_m - d))
+                f"diameter_{a}_{b}",
+                {_evar(a, b): -d}, "<=", inst.d_star_m + TOL - d))
         # e = 1 alone does not split a pair, and pairs without weight have no
         # e: no bubble may hold two locations farther apart than the cap
         for a, b in inst.far_pairs():
             for k in range(1, K + 1):
                 rows.append(LinearConstraint(
-                    "diameter", f"diameter_{a}_{b}_{k}",
+                    f"diameter_{a}_{b}_{k}",
                     {_xvar(a, k): 1.0, _xvar(b, k): 1.0}, "<=", 1.0))
 
     for lab in inst.groups:
         members = inst.hcps.members(lab)
-        gcap, gflr = math.ceil(len(members) / K), len(members) // K
+        gflr, gcap = balanced(len(members), K)
         for k in range(1, K + 1):
             size = {_zvar(p, k): 1.0 for p in members}
             rows.append(LinearConstraint(
-                "hcpEqual", f"hcpEqual_{lab}_{k}", size, "<=", float(gcap)))
+                f"hcpEqual_{lab}_{k}", size, "<=", float(gcap)))
             rows.append(LinearConstraint(
-                "hcpEqual", f"hcpEqual_{lab}_{k}_floor", size, ">=", float(gflr)))
+                f"hcpEqual_{lab}_{k}_floor", size, ">=", float(gflr)))
 
     for p in subs:
         rows.append(LinearConstraint(
-            "hcpExactlyOne", f"hcpExactlyOne_{p}",
+            f"hcpExactlyOne_{p}",
             {_zvar(p, k): 1.0 for k in range(1, K + 1)}, "=", 1.0))
 
     if math.isfinite(inst.y_star_h):
-        assert inst.loads is not None
         for lab in inst.groups:
             members = inst.hcps.members(lab)
             for k in range(1, K + 1):
@@ -201,14 +213,13 @@ def build_model(inst: ClusterInstance) -> IlpModel:
                 for p in members:
                     coeffs[_zvar(p, k)] = -inst.loads.loads.get(p, 0.0)
                 rows.append(LinearConstraint(
-                    "boundLoad", f"boundLoad_{lab}_{k}", coeffs, "<=", inst.y_star_h))
+                    f"boundLoad_{lab}_{k}", coeffs, "<=", inst.y_star_h + TOL))
 
     return IlpModel(
         instance=inst,
         variables=tuple(variables),
         objective=objective,
         constraints=tuple(rows),
-        e_pairs=pairs,
     )
 
 

@@ -309,8 +309,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
             dist=dist if math.isfinite(cfg.d_star_m) else None,
             loads=loads if math.isfinite(cfg.y_star_h) else None,
         )
-        res: SolveResult = solve(build_model(inst), time_limit_s=cfg.time_limit_s,
-                                 seed=cfg.seed)
+        res: SolveResult = solve(build_model(inst), time_limit_s=cfg.time_limit_s)
         solve_records[f"k{k}"] = {
             "status": res.status,
             "objective": res.objective,

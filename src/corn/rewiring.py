@@ -12,7 +12,6 @@ surfaces as unmet demand.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,36 +185,6 @@ class CostReport:
     footsteps: dict[str, float]
     excess_footsteps: dict[str, float]
     bubble_diameters: dict[int, float]
-
-    def summary(self) -> dict[str, float]:
-        def agg(m: dict) -> tuple[float, float]:
-            vals = list(m.values())
-            return (sum(vals), max(vals) if vals else 0.0)
-
-        out: dict[str, float] = {}
-        for name, m in (
-            ("excess_load", self.excess_load),
-            ("unmet_demand", self.unmet_demand),
-            ("footsteps", self.footsteps),
-            ("excess_footsteps", self.excess_footsteps),
-        ):
-            total, peak = agg(m)
-            out[f"{name}_total"] = total
-            out[f"{name}_max"] = peak
-            out[f"{name}_mean"] = total / len(m) if m else 0.0
-        out["bubble_diameter_max"] = max(self.bubble_diameters.values(), default=0.0)
-        return out
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "excess_load": dict(sorted(self.excess_load.items())),
-            "unmet_demand": dict(sorted(self.unmet_demand.items())),
-            "footsteps": dict(sorted(self.footsteps.items())),
-            "excess_footsteps": dict(sorted(self.excess_footsteps.items())),
-            "bubble_diameters": {str(k): v for k, v in sorted(self.bubble_diameters.items())},
-            "summary": self.summary(),
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _footsteps(g: VisitGraph, dist: DistanceMatrix, days: int) -> dict[str, float]:

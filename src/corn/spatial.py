@@ -44,29 +44,34 @@ def load_spatial_graph(path: str | Path) -> SpatialGraph:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected a JSON object")
     for key in ("nodes", "edges", "location_map"):
         if key not in raw:
             raise ParseError(f"{path}: missing key {key!r}")
-    nodes = tuple(str(n) for n in raw["nodes"])
-    if len(set(nodes)) != len(nodes):
-        raise ParseError(f"{path}: duplicate nodes")
-    node_set = set(nodes)
-    edges = []
-    for e in raw["edges"]:
-        if len(e) != 3:
-            raise ParseError(f"{path}: edge must be [u, v, length_m]: {e}")
-        u, v, w = str(e[0]), str(e[1]), float(e[2])
-        if u not in node_set or v not in node_set:
-            raise ParseError(f"{path}: edge references unknown node: {e}")
-        if not math.isfinite(w) or w <= 0:
-            raise ParseError(f"{path}: edge length must be finite and positive: {e}")
-        edges.append((u, v, w))
-    location_map = {str(k): str(v) for k, v in raw["location_map"].items()}
-    for loc, node in location_map.items():
-        if node not in node_set:
-            raise ParseError(f"{path}: location {loc!r} mapped to unknown node {node!r}")
+    try:
+        nodes = tuple(str(n) for n in raw["nodes"])
+        if len(set(nodes)) != len(nodes):
+            raise ParseError(f"{path}: duplicate nodes")
+        node_set = set(nodes)
+        edges = []
+        for e in raw["edges"]:
+            if len(e) != 3:
+                raise ParseError(f"{path}: edge must be [u, v, length_m]: {e}")
+            u, v, w = str(e[0]), str(e[1]), float(e[2])
+            if u not in node_set or v not in node_set:
+                raise ParseError(f"{path}: edge references unknown node: {e}")
+            if not math.isfinite(w) or w <= 0:
+                raise ParseError(f"{path}: edge length must be finite and positive: {e}")
+            edges.append((u, v, w))
+        location_map = {str(k): str(v) for k, v in raw["location_map"].items()}
+        for loc, node in location_map.items():
+            if node not in node_set:
+                raise ParseError(f"{path}: location {loc!r} mapped to unknown node {node!r}")
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     g = SpatialGraph(nodes, tuple(edges), location_map)
     _check_connected(g)
     return g

@@ -120,7 +120,7 @@ class FacilitySpec:
     def from_json(path: str | Path) -> "FacilitySpec":
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise SpecError(f"{path}: {exc}") from exc
         return FacilitySpec.from_dict(raw)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NotChoppedError, ParseError, TooLargeError
+from .errors import ConfigError, NotChoppedError, TooLargeError
 from .model import NS_TYPE, VisitGraph, chop_intervals
 
 HCP_SCOPES = ("all", "ns_only")
@@ -32,6 +32,11 @@ HCP_SCOPES = ("all", "ns_only")
 def z_from_rho(rho_per_min: float, unit_s: int) -> float:
     """Per-interval transmission probability at peak shedding."""
     return rho_per_min * (unit_s / 60.0)
+
+
+def _check_z(z: float) -> None:
+    if not 0.0 <= z <= 1.0:
+        raise ConfigError(f"z must be in [0, 1], got {z}")
 
 
 def _scope_hcps(g: VisitGraph, hcp_scope: str) -> set[str]:
@@ -85,8 +90,7 @@ def directed_weight(
     """
     if src == dst:
         raise ConfigError("src and dst must differ")
-    if not 0.0 <= z <= 1.0:
-        raise ConfigError(f"z must be in [0, 1], got {z}")
+    _check_z(z)
     scope = _scope_hcps(g, hcp_scope)
     seqs = _pair_sequences(g, src, dst, scope)
     unit = unit_s if unit_s is not None else _infer_unit(g)
@@ -136,6 +140,7 @@ def weight_matrix(
     hcp_scope: str = "all",
 ) -> WeightMatrix:
     """Chop the graph to unit_s and average the two directed weights per pair."""
+    _check_z(z)
     chopped = chop_intervals(g, unit_s)
     locs = tuple(locations) if locations is not None else tuple(chopped.locations.substitutable)
     scope = _scope_hcps(chopped, hcp_scope)
@@ -254,30 +259,3 @@ def write_weight_csv(wm: WeightMatrix, path: str | Path) -> None:
         for a, b in wm.pairs():
             w.writerow([a, b, repr(wm.w[(a, b)])])
 
-
-def load_weight_csv(path: str | Path) -> WeightMatrix:
-    path = Path(path)
-    out: dict[tuple[str, str], float] = {}
-    locs: set[str] = set()
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not rows or [c.strip() for c in rows[0]] != ["loc_a", "loc_b", "weight"]:
-        raise ParseError(f"{path}: expected header loc_a,loc_b,weight")
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise ParseError(f"{path}: expected 3 fields loc_a,loc_b,weight, got {row}")
-        a, b, w = (c.strip() for c in row)
-        if a >= b:
-            raise ParseError(f"{path}: pairs must be lexicographic, got {a},{b}")
-        try:
-            val = float(w)
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad weight {w!r}") from exc
-        if not 0.0 <= val <= 1.0:
-            raise ParseError(f"{path}: weight out of [0,1]: {val}")
-        out[(a, b)] = val
-        locs.update((a, b))
-    return WeightMatrix(locations=tuple(sorted(locs)), w=out)

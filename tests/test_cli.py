@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corn.cli import (
     EXIT_FAIL,
@@ -35,6 +41,16 @@ def inputs(tmp_path_factory):
     rc = main(["synth", "--spec", str(spec_path), "--out", str(out)])
     assert rc == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def clustering(inputs, tmp_path_factory):
+    out = tmp_path_factory.mktemp("clustering")
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["cluster", *input_args(inputs), "--rho", "0.001", "--k", "2",
+                   "--out", str(out)])
+    assert rc == EXIT_OK
+    return out / "clustering.json"
 
 
 def input_args(d):
@@ -250,3 +266,71 @@ class TestExperiment:
                    "--rho", "0.001", "--out", str(tmp_path / "y")])
         assert rc == EXIT_USAGE
         capsys.readouterr()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+_FIELD = st.text(alphabet='ab01-. "', max_size=4) | st.sampled_from(["s", "ns", "n", "r00", "60"])
+_HEADERS = ("hcp_id,type", "location_id,kind", "hcp_id,location_id,start_s,end_s")
+_CONTENT = st.one_of(
+    st.text(max_size=40),
+    st.binary(max_size=40),
+    _JSON.map(json.dumps),
+    st.fixed_dictionaries({k: _JSON for k in ("nodes", "edges", "location_map")}).map(json.dumps),
+    st.fixed_dictionaries({k: _JSON for k in ("k", "location_bubble", "hcp_bubble")}).map(json.dumps),
+    st.tuples(st.sampled_from(_HEADERS),
+              st.lists(st.lists(_FIELD, max_size=5), max_size=4)).map(
+        lambda t: "\n".join([t[0]] + [",".join(row) for row in t[1]]) + "\n"),
+    # (where, cut, insert): splice into the well-formed file
+    st.tuples(st.floats(0.0, 1.0), st.integers(0, 30), st.text(max_size=10)),
+)
+
+
+class TestMalformedInputs:
+    """Any input file, however malformed, gives an exit code and no traceback."""
+
+    @given(target=st.sampled_from(["hcps", "locations", "visits", "spatial", "clustering"]),
+           content=_CONTENT)
+    @example(target="spatial",
+             content='{"nodes": ["a"], "edges": [["a", "a", "x"]], "location_map": {}}')
+    @example(target="spatial", content='{"nodes": 5, "edges": 5, "location_map": 5}')
+    @example(target="clustering",
+             content='{"k": 2, "location_bubble": 5, "hcp_bubble": {}}')
+    @settings(max_examples=150, deadline=None)
+    def test_exits_without_traceback(self, inputs, clustering, target, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = {"clustering": clustering}
+            paths.update({n: inputs / f"{n}.csv" for n in ("hcps", "locations", "visits")})
+            paths["spatial"] = inputs / "spatial.json"
+            text = paths[target].read_text()
+            if isinstance(content, tuple):
+                where, cut, insert = content
+                at = int(where * len(text))
+                content = text[:at] + insert + text[at + cut:]
+            paths[target] = tmp / paths[target].name
+            if isinstance(content, bytes):
+                paths[target].write_bytes(content)
+            else:
+                paths[target].write_text(content)
+            args = ["--hcps", str(paths["hcps"]), "--locations", str(paths["locations"]),
+                    "--visits", str(paths["visits"])]
+            if target == "clustering":
+                argv = ["simulate", *args, "--clustering", str(paths["clustering"]),
+                        "--rewire", "--rho", "0.002", "--replicates", "1"]
+            elif target == "visits":
+                argv = ["validate", *args, "--spatial", str(paths["spatial"])]
+            else:
+                argv = ["cluster", *args, "--spatial", str(paths["spatial"]), "--z", "0.01",
+                        "--k", "2", "--d-star-m", "1000", "--y-star-h", "100"]
+            if argv[0] != "validate":
+                argv += ["--out", str(tmp / "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        assert 0 <= rc <= 4
+        assert "Traceback" not in err.getvalue()

@@ -350,3 +350,33 @@ class TestExportedRowsAgainstBrute:
             capped += has_cap
             uncapped += not has_cap
         assert capped and uncapped
+
+
+def cap_tie_instance(excess: float) -> ClusterInstance:
+    """l1 and l2 attract (w = 0.9) and sit `excess` meters beyond a 15 m cap."""
+    locs = ("l1", "l2", "l3", "l4")
+    dist = {p: 10.0 for p in itertools.combinations(locs, 2)}
+    dist[("l1", "l2")] = 15.0 + excess
+    return ClusterInstance(
+        weights=WeightMatrix(locations=locs, w={("l1", "l2"): 0.9}),
+        hcps=HcpRoster({"p1": "g1", "p2": "g1"}), k=2, d_star_m=15.0, dist=dm(dist))
+
+
+@pytest.mark.parametrize("excess, optimum", [(5e-10, 0.0), (2e-9, 0.9)])
+class TestCapTie:
+    """A pair within the tolerance of the cap may share a bubble in every consumer."""
+
+    def test_search_brute_and_verify_agree(self, excess, optimum):
+        inst = cap_tie_instance(excess)
+        got, want = solve(build_model(inst)), brute_force_solve(inst)
+        assert got.objective == pytest.approx(optimum, abs=1e-12)
+        assert want.objective == pytest.approx(optimum, abs=1e-12)
+        assert verify_clustering(got.clustering, inst) == []
+        together = BubbleClustering(k=2, location_bubble={"l1": 1, "l2": 1, "l3": 2, "l4": 2},
+                                    hcp_bubble={"p1": 1, "p2": 2})
+        assert (verify_clustering(together, inst) == []) == (optimum == 0.0)
+
+    def test_exported_rows_agree(self, excess, optimum):
+        pytest.importorskip("scipy")
+        assert milp_optimum(build_model(cap_tie_instance(excess))) == pytest.approx(
+            optimum, abs=1e-6)
