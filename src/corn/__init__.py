@@ -24,7 +24,6 @@ from .errors import (
     DisconnectedError,
     InvalidKError,
     NotBracketedError,
-    NotChoppedError,
     ParseError,
     SpecError,
     TooLargeError,
@@ -48,7 +47,6 @@ from .optimizer import (
     SolveResult,
     brute_force_solve,
     build_model,
-    count_vars_constraints,
     export_model,
     solve,
     verify_clustering,
@@ -57,7 +55,7 @@ from .pipeline import ExperimentConfig, ExperimentResult, run_experiment
 from .rewiring import compute_costs, random_clustering, rewire
 from .spatial import SpatialGraph, load_spatial_graph, shortest_path_metric
 from .synth import FacilitySpec, generate_facility, generate_mobility, zone_clustering
-from .weights import WeightMatrix, directed_weight, weight_matrix, z_from_rho
+from .weights import WeightMatrix, weight_matrix, z_from_rho
 
 __version__ = "0.1.0"
 
@@ -77,7 +75,6 @@ __all__ = [
     "InvalidKError",
     "LocationRoster",
     "NotBracketedError",
-    "NotChoppedError",
     "ParseError",
     "RunManifest",
     "SimConfig",
@@ -96,8 +93,6 @@ __all__ = [
     "compare_runs",
     "compute_costs",
     "compute_loads_demands",
-    "count_vars_constraints",
-    "directed_weight",
     "estimate_r0",
     "export_model",
     "generate_facility",

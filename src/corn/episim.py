@@ -34,9 +34,9 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .clustering import BubbleClustering
-from .errors import ConfigError, NotBracketedError
+from .errors import ConfigError, NotBracketedError, check_nonnegative
 from .model import SECONDS_PER_DAY, VisitGraph
-from .rewiring import RewiredGraph
+from .rewiring import RewiredGraph, check_coverage
 
 CASUAL_LOCATION = "casual"
 
@@ -51,14 +51,13 @@ class DiseaseParams:
     cross_bubble_scale: float = 0.75
 
     def check(self) -> None:
-        if self.rho < 0:
-            raise ConfigError(f"rho={self.rho} must be >= 0")
+        check_nonnegative(rho=self.rho)
         if self.incubation_days < 1 or self.recovery_days < 1:
             raise ConfigError("incubation_days and recovery_days must be >= 1")
         if not 0.0 <= self.cross_bubble_scale <= 1.0:
             raise ConfigError("cross_bubble_scale must lie in [0, 1]")
         for r in (self.ramp_up_rate, self.ramp_down_rate):
-            if r is not None and r <= 0:
+            if r is not None and not r > 0:
                 raise ConfigError("ramp rates must be positive when given")
 
     @property
@@ -100,8 +99,8 @@ class CasualContactModel:
     duration_min: float = 15.0
 
     def check(self) -> None:
-        if self.contacts_per_day < 0 or self.duration_min < 0:
-            raise ConfigError("casual contact parameters must be >= 0")
+        check_nonnegative(contacts_per_day=self.contacts_per_day,
+                          duration_min=self.duration_min)
 
 
 @dataclass(frozen=True)
@@ -433,10 +432,7 @@ def simulate(
     cfg.check()
     graph, clustering = _resolve(g, clustering)
     if clustering is not None:
-        if set(clustering.location_bubble) != set(graph.locations.substitutable):
-            raise ConfigError("clustering location coverage does not match the graph")
-        if set(clustering.hcp_bubble) != set(graph.hcps.substitutable):
-            raise ConfigError("clustering HCP coverage does not match the graph")
+        check_coverage(graph, clustering)
     sched = build_contact_schedule(graph)
     members = _seed_member_indices(sched, cfg.seed_group)
     horizon = cfg.horizon_days if cfg.horizon_days is not None else graph.day_count
@@ -560,10 +556,6 @@ def calibrate_rho(
 class ComparisonReport:
     rows: tuple[dict, ...]
     diffs: tuple[dict, ...]  # vs the first summary
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {"rows": list(self.rows), "diffs": list(self.diffs)}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def compare_runs(

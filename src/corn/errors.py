@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one non-negativity check."""
 
 
 class CornError(Exception):
@@ -17,10 +17,6 @@ class DisconnectedError(CornError):
     """Spatial graph does not connect all mapped locations."""
 
 
-class NotChoppedError(CornError):
-    """Visit intervals are not uniform beyond the boundary-fragment rule."""
-
-
 class InvalidKError(CornError):
     """Bubble count K incompatible with the instance."""
 
@@ -29,12 +25,12 @@ class TooLargeError(CornError):
     """Instance exceeds a guard limit for an exhaustive routine."""
 
 
-class ClusteringMismatchError(CornError):
-    """Clustering does not cover the graph it is applied to."""
-
-
 class ConfigError(CornError):
     """Inconsistent or incomplete run configuration."""
+
+
+class ClusteringMismatchError(ConfigError):
+    """Clustering does not cover the graph it is applied to."""
 
 
 class SpecError(CornError):
@@ -43,3 +39,10 @@ class SpecError(CornError):
 
 class NotBracketedError(CornError):
     """Calibration target cannot be bracketed by the search interval."""
+
+
+def check_nonnegative(**values: float | None) -> None:
+    """ConfigError for any value that is negative or NaN; None and inf pass."""
+    for name, v in values.items():
+        if v is not None and not v >= 0:
+            raise ConfigError(f"{name}={v} must be a number >= 0")

@@ -1,6 +1,6 @@
 """Exact bubble-partition optimization: model build, solve, brute force, export."""
 
-from .model import ClusterInstance, IlpModel, LinearConstraint, build_model, count_vars_constraints
+from .model import ClusterInstance, IlpModel, LinearConstraint, build_model
 from .branch_bound import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -22,7 +22,6 @@ __all__ = [
     "SolveResult",
     "brute_force_solve",
     "build_model",
-    "count_vars_constraints",
     "export_model",
     "solve",
     "verify_clustering",

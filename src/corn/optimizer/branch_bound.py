@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..clustering import BubbleClustering, canonicalize, cut_value
+from ..errors import check_nonnegative
 from .model import TOL, ClusterInstance, IlpModel, balanced
 from .simplex import STATUS_INFEASIBLE as LP_INFEASIBLE
 from .simplex import STATUS_OPTIMAL as LP_OPTIMAL
@@ -413,6 +414,7 @@ class _Search:
 
 def solve(model: IlpModel, time_limit_s: float | None = None) -> SolveResult:
     """Exact, deterministic solve; a timeout reports the best bound reached."""
+    check_nonnegative(time_limit_s=time_limit_s)
     inst = model.instance
     inst.check()
     t0 = time.monotonic()

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..errors import ConfigError, InvalidKError
+from ..errors import ConfigError, InvalidKError, check_nonnegative
 from ..model import HcpRoster, LoadDemandTable
 from ..spatial import DistanceMatrix
 from ..weights import WeightMatrix
@@ -57,6 +57,7 @@ class ClusterInstance:
         return self.hcps.group_labels
 
     def check(self) -> None:
+        check_nonnegative(d_star_m=self.d_star_m, y_star_h=self.y_star_h)
         n = len(self.locations)
         if self.k < 1:
             raise InvalidKError(f"k={self.k} must be at least 1")
@@ -221,22 +222,3 @@ def build_model(inst: ClusterInstance) -> IlpModel:
         objective=objective,
         constraints=tuple(rows),
     )
-
-
-def count_vars_constraints(m: ClusterInstance | IlpModel) -> tuple[int, int]:
-    """Closed-form variable and constraint counts for the built model."""
-    inst = m.instance if isinstance(m, IlpModel) else m
-    inst.check()
-    ne = len(inst.e_pairs())
-    n = len(inst.locations)
-    m = len(inst.hcps.substitutable)
-    h = len(inst.groups)
-    K = inst.k
-    n_vars = ne + n * K + m * K
-    n_cons = 2 * ne * K + n + 2 * K
-    if math.isfinite(inst.d_star_m):
-        n_cons += ne + K * len(inst.far_pairs())
-    n_cons += 2 * h * K + m
-    if math.isfinite(inst.y_star_h):
-        n_cons += h * K
-    return n_vars, n_cons

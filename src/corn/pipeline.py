@@ -39,7 +39,7 @@ from .episim import (
     simulate,
     summary_to_json,
 )
-from .errors import ConfigError, CornError, ValidationError
+from .errors import ConfigError, CornError, ValidationError, check_nonnegative
 from .model import (
     VisitGraph,
     compute_loads_demands,
@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError("unit_s must be >= 1")
         if self.cost_rewirings < 1:
             raise ConfigError("cost_rewirings must be >= 1")
+        check_nonnegative(d_star_m=self.d_star_m, y_star_h=self.y_star_h,
+                          time_limit_s=self.time_limit_s)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -126,14 +128,17 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        if raw.get("facility") is not None:
-            raw["facility"] = FacilitySpec.from_dict(raw["facility"])
-        raw["k_list"] = tuple(int(k) for k in raw["k_list"])
-        raw["d_star_m"] = float(raw["d_star_m"])
-        raw["y_star_h"] = float(raw["y_star_h"])
-        cfg = ExperimentConfig(**raw)
-        cfg.check()
+        try:
+            raw = dict(raw)
+            if raw.get("facility") is not None:
+                raw["facility"] = FacilitySpec.from_dict(raw["facility"])
+            raw["k_list"] = tuple(int(k) for k in raw["k_list"])
+            raw["d_star_m"] = float(raw["d_star_m"])
+            raw["y_star_h"] = float(raw["y_star_h"])
+            cfg = ExperimentConfig(**raw)
+            cfg.check()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad experiment config: {exc}") from exc
         return cfg
 
 

@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import BubbleClustering, canonicalize, cut_value
+from .clustering import BubbleClustering, canonicalize
 from .errors import ClusteringMismatchError, InvalidKError
 from .model import HcpRoster, Visit, VisitGraph, compute_loads_demands
 from .spatial import DistanceMatrix
-from .weights import WeightMatrix
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,8 @@ class _Calendar:
         bisect.insort(iv, (start, end))
 
 
-def _check_match(g: VisitGraph, c: BubbleClustering) -> None:
+def check_coverage(g: VisitGraph, c: BubbleClustering) -> None:
+    """ClusteringMismatchError unless c places exactly the substitutable rooms and HCPs of g."""
     want_locs = set(g.locations.substitutable)
     if set(c.location_bubble) != want_locs:
         raise ClusteringMismatchError(
@@ -78,7 +78,7 @@ def rewire(
     seed: int,
     keep_same_bubble_hcp: bool = False,
 ) -> RewiredGraph:
-    _check_match(g, clustering)
+    check_coverage(g, clustering)
     rng = np.random.default_rng(seed)
     ns_hcps = set(g.hcps.non_substitutable)
     ns_locs = set(g.locations.non_substitutable)
@@ -137,7 +137,6 @@ def random_clustering(
     locations: tuple[str, ...],
     k: int,
     seed: int,
-    weights: WeightMatrix | None = None,
 ) -> BubbleClustering:
     """Uniform balanced baseline clustering (sizes differ by at most one)."""
     n = len(locations)
@@ -170,10 +169,7 @@ def random_clustering(
             for p, b in deal(tuple(sorted(hcps.members(lab)))).items()
         },
     )
-    c = canonicalize(c)
-    if weights is not None:
-        c = BubbleClustering(c.k, c.location_bubble, c.hcp_bubble, cut_value(c, weights))
-    return c
+    return canonicalize(c)
 
 
 @dataclass(frozen=True)

@@ -111,9 +111,9 @@ class FacilitySpec:
             raw = dict(raw)
             raw["hcp_groups"] = tuple((str(l), int(c)) for l, c in raw["hcp_groups"])
             spec = FacilitySpec(**raw)
+            spec.check()
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad facility spec: {exc}") from exc
-        spec.check()
         return spec
 
     @staticmethod

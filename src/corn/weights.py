@@ -17,14 +17,13 @@ later dst intervals. HCP contributions combine as 1 - prod(1 - Pr).
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NotChoppedError, TooLargeError
-from .model import NS_TYPE, VisitGraph, chop_intervals
+from .errors import ConfigError, TooLargeError
+from .model import VisitGraph, chop_intervals
 
 HCP_SCOPES = ("all", "ns_only")
 
@@ -45,71 +44,6 @@ def _scope_hcps(g: VisitGraph, hcp_scope: str) -> set[str]:
     if hcp_scope == "ns_only":
         return set(g.hcps.non_substitutable)
     return set(g.hcps.ids)
-
-
-def _infer_unit(g: VisitGraph) -> int:
-    durations = Counter(v.duration_s for v in g.visits)
-    if not durations:
-        return 1
-    top = max(durations.values())
-    return max(d for d, n in durations.items() if n == top)
-
-
-def _check_chopped(durations: list[int], unit_s: int) -> None:
-    for d in durations:
-        if 2 * d >= 3 * unit_s:
-            raise NotChoppedError(
-                f"visit duration {d}s exceeds the boundary-fragment rule for unit {unit_s}s"
-            )
-
-
-def _pair_sequences(g: VisitGraph, src: str, dst: str, scope: set[str]):
-    """Per-HCP chronological sequence of visits to src or dst."""
-    seqs: dict[str, list[tuple[int, int, str]]] = {}
-    for v in g.visits:
-        if v.location == src or v.location == dst:
-            if v.hcp in scope:
-                seqs.setdefault(v.hcp, []).append((v.start_s, v.end_s, v.location))
-    for seq in seqs.values():
-        seq.sort()
-    return seqs
-
-
-def directed_weight(
-    g: VisitGraph,
-    src: str,
-    dst: str,
-    z: float,
-    unit_s: int | None = None,
-    hcp_scope: str = "all",
-) -> float:
-    """Probability that infection at src reaches dst via any single HCP.
-
-    Expects a chopped graph; pass unit_s to validate against a known unit,
-    otherwise the modal visit duration is used as the unit.
-    """
-    if src == dst:
-        raise ConfigError("src and dst must differ")
-    _check_z(z)
-    scope = _scope_hcps(g, hcp_scope)
-    seqs = _pair_sequences(g, src, dst, scope)
-    unit = unit_s if unit_s is not None else _infer_unit(g)
-    _check_chopped([e - s for seq in seqs.values() for s, e, _ in seq], unit)
-    miss = 1.0
-    for seq in seqs.values():
-        total_dst = sum(1 for _, _, loc in seq if loc == dst)
-        pre = 0
-        behind_dst = 0
-        pr = 0.0
-        for _, _, loc in seq:
-            if loc == src:
-                suf = total_dst - behind_dst
-                pr += (1.0 - z) ** pre * z * (1.0 - (1.0 - z) ** suf)
-                pre += 1
-            else:
-                behind_dst += 1
-        miss *= 1.0 - pr
-    return 1.0 - miss
 
 
 @dataclass(frozen=True)
@@ -136,13 +70,11 @@ def weight_matrix(
     g: VisitGraph,
     z: float,
     unit_s: int,
-    locations: tuple[str, ...] | None = None,
     hcp_scope: str = "all",
 ) -> WeightMatrix:
     """Chop the graph to unit_s and average the two directed weights per pair."""
     _check_z(z)
     chopped = chop_intervals(g, unit_s)
-    locs = tuple(locations) if locations is not None else tuple(chopped.locations.substitutable)
     scope = _scope_hcps(chopped, hcp_scope)
     # index once: hcp -> location -> sorted interval list
     idx: dict[str, dict[str, list[tuple[int, int]]]] = {}
@@ -150,7 +82,7 @@ def weight_matrix(
         if v.hcp in scope:
             idx.setdefault(v.hcp, {}).setdefault(v.location, []).append((v.start_s, v.end_s))
     out: dict[tuple[str, str], float] = {}
-    order = sorted(locs)
+    order = sorted(chopped.locations.substitutable)
     for i, a in enumerate(order):
         for b in order[i + 1 :]:
             miss_ab = 1.0

@@ -53,6 +53,29 @@ def clustering(inputs, tmp_path_factory):
     return out / "clustering.json"
 
 
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest")
+    spec_path = root / "spec.json"
+    tiny_spec().to_json(spec_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["experiment", "--facility", str(spec_path), "--k", "1", "--rho", "0.002",
+                   "--replicates", "1", "--cost-rewirings", "1", "--out", str(root / "exp")])
+    assert rc == EXIT_OK
+    return root / "exp" / "manifest.json"
+
+
+def manifest_text(config) -> str:
+    """An experiment manifest around the given config."""
+    return json.dumps({"command": "experiment", "argv": [], "input_hashes": {},
+                       "config": config, "seed": 0, "version": "0", "created_utc": ""})
+
+
+# NaN or negative caps and time limits; each is a usage error
+BAD_CAPS = [[flag, value] for flag in ("--d-star-m", "--y-star-h", "--time-limit-s")
+            for value in ("nan", "-1")]
+
+
 def input_args(d):
     return ["--hcps", str(d / "hcps.csv"), "--locations", str(d / "locations.csv"),
             "--visits", str(d / "visits.csv")]
@@ -148,6 +171,13 @@ class TestCluster:
         assert rc == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", BAD_CAPS)
+    def test_bad_caps_and_time_limit(self, inputs, tmp_path, capsys, flags):
+        rc = main(["cluster", *input_args(inputs), "--spatial", str(inputs / "spatial.json"),
+                   "--rho", "0.001", "--k", "2", *flags, "--out", str(tmp_path / "c5")])
+        assert rc == EXIT_USAGE
+        assert "must be a number >= 0" in capsys.readouterr().err
+
     def test_timeout_exit(self, tmp_path, capsys):
         # 12 locations push past the exact-solver comfort zone instantly
         spec_path = tmp_path / "spec.json"
@@ -214,6 +244,31 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rewire", [[], ["--rewire"]])
+    def test_clustering_must_cover_the_log(self, inputs, clustering, tmp_path, capsys, rewire):
+        raw = json.loads(clustering.read_text())
+        raw["location_bubble"].pop(sorted(raw["location_bubble"])[0])
+        bad = tmp_path / "partial.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["simulate", *input_args(inputs), "--rho", "0.002", "--clustering", str(bad),
+                   *rewire, "--replicates", "1", "--out", str(tmp_path / "s4")])
+        assert rc == EXIT_USAGE
+        assert "clustering covers different locations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--rho", "nan"],
+        ["--rho", "-0.1"],
+        ["--rho", "0.002", "--casual-contacts-per-day", "nan"],
+        ["--rho", "0.002", "--casual-contacts-per-day", "-1"],
+        ["--rho", "0.002", "--casual-duration-min", "nan"],
+        ["--rho", "0.002", "--casual-duration-min", "-1"],
+    ])
+    def test_bad_model_inputs(self, inputs, tmp_path, capsys, flags):
+        rc = main(["simulate", *input_args(inputs), *flags, "--replicates", "1",
+                   "--out", str(tmp_path / "s5")])
+        assert rc == EXIT_USAGE
+        assert "must be" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_facility_smoke(self, tmp_path, capsys):
@@ -258,6 +313,17 @@ class TestExperiment:
         assert rc == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", BAD_CAPS)
+    def test_bad_caps_fail_before_calibration(self, tmp_path, capsys, flags):
+        spec_path = tmp_path / "spec.json"
+        tiny_spec().to_json(spec_path)
+        out = tmp_path / "z"
+        rc = main(["experiment", "--facility", str(spec_path), "--target-r0", "2.0",
+                   *flags, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+        capsys.readouterr()
+
     def test_facility_and_inputs_exclusive(self, inputs, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         tiny_spec().to_json(spec_path)
@@ -293,18 +359,26 @@ _CONTENT = st.one_of(
 class TestMalformedInputs:
     """Any input file, however malformed, gives an exit code and no traceback."""
 
-    @given(target=st.sampled_from(["hcps", "locations", "visits", "spatial", "clustering"]),
+    @given(target=st.sampled_from(["hcps", "locations", "visits", "spatial", "clustering",
+                                   "manifest", "spec"]),
            content=_CONTENT)
     @example(target="spatial",
              content='{"nodes": ["a"], "edges": [["a", "a", "x"]], "location_map": {}}')
     @example(target="spatial", content='{"nodes": 5, "edges": 5, "location_map": 5}')
     @example(target="clustering",
              content='{"k": 2, "location_bubble": 5, "hcp_bubble": {}}')
+    @example(target="manifest", content=manifest_text(5))
+    @example(target="manifest", content=manifest_text({"k_list": "x"}))
+    @example(target="manifest", content=manifest_text({}))
+    @example(target="manifest", content=manifest_text(
+        {"k_list": [1], "d_star_m": "inf", "y_star_h": "inf", "colour": "red"}))
+    @example(target="spec", content=json.dumps(dict(tiny_spec().to_dict(), rooms="x")))
     @settings(max_examples=150, deadline=None)
-    def test_exits_without_traceback(self, inputs, clustering, target, content):
+    def test_exits_without_traceback(self, inputs, clustering, manifest, target, content):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            paths = {"clustering": clustering}
+            paths = {"clustering": clustering, "manifest": manifest,
+                     "spec": inputs / "facility.json"}
             paths.update({n: inputs / f"{n}.csv" for n in ("hcps", "locations", "visits")})
             paths["spatial"] = inputs / "spatial.json"
             text = paths[target].read_text()
@@ -324,6 +398,10 @@ class TestMalformedInputs:
                         "--rewire", "--rho", "0.002", "--replicates", "1"]
             elif target == "visits":
                 argv = ["validate", *args, "--spatial", str(paths["spatial"])]
+            elif target == "manifest":
+                argv = ["experiment", "--from-manifest", str(paths["manifest"])]
+            elif target == "spec":
+                argv = ["synth", "--spec", str(paths["spec"])]
             else:
                 argv = ["cluster", *args, "--spatial", str(paths["spatial"]), "--z", "0.01",
                         "--k", "2", "--d-star-m", "1000", "--y-star-h", "100"]

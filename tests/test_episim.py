@@ -113,14 +113,19 @@ class TestParamChecks:
         dict(rho=0.1, cross_bubble_scale=1.5),
         dict(rho=0.1, ramp_up_rate=0.0),
         dict(rho=0.1, ramp_down_rate=-1.0),
+        dict(rho=math.nan),
+        dict(rho=0.1, ramp_up_rate=math.nan),
+        dict(rho=0.1, ramp_down_rate=math.nan),
     ])
     def test_bad_disease(self, kw):
         with pytest.raises(ConfigError):
             DiseaseParams(**kw).check()
 
     def test_bad_casual(self):
-        with pytest.raises(ConfigError):
-            CasualContactModel(contacts_per_day=-1.0).check()
+        for kw in (dict(contacts_per_day=-1.0), dict(contacts_per_day=math.nan),
+                   dict(duration_min=-1.0), dict(duration_min=math.nan)):
+            with pytest.raises(ConfigError):
+                CasualContactModel(**kw).check()
 
     def test_bad_sim_config(self):
         with pytest.raises(ConfigError):
@@ -379,13 +384,6 @@ class TestExports:
         assert payload["label"] == "base"
         assert payload["aggregates"]["infections_mean"] == 1.0
         assert payload["config"]["replicates"] == 2
-
-    def test_comparison_json(self, tmp_path):
-        rep = compare_runs([fake_summary("a", [1, 2]), fake_summary("b", [1, 2])])
-        path = tmp_path / "c.json"
-        rep.to_json(path)
-        payload = json.loads(path.read_text())
-        assert payload["diffs"][0]["mean_diff"] == 0.0
 
 
 class TestWorkers:

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corn.errors import ConfigError, NotChoppedError, TooLargeError
+from corn.errors import ConfigError, TooLargeError
 from corn.model import chop_intervals
 from corn.weights import (
-    directed_weight,
     enumerate_directed_weight,
     mc_directed_weight,
     weight_matrix,
@@ -36,57 +35,44 @@ def random_pair_graph(rng: np.random.Generator, max_hcps: int = 4, max_intervals
     return two_room_graph(rows, n_hcps=n_hcps)
 
 
-class TestDirectedWeight:
-    def test_one_visit_each_direction(self):
-        g = two_room_graph([("p1", "la", 0, 60), ("p1", "lb", 60, 120)])
-        expected = enumerate_directed_weight(g, "la", "lb", 0.5)
-        assert expected == pytest.approx(0.25, abs=1e-12)
-        assert directed_weight(g, "la", "lb", 0.5) == pytest.approx(expected, abs=1e-12)
-        assert directed_weight(g, "lb", "la", 0.5) == 0.0
+def both_ways(oracle, g, *args) -> float:
+    """An oracle's mean over the two directions, the quantity weight_matrix gives."""
+    return (oracle(g, "la", "lb", *args) + oracle(g, "lb", "la", *args)) / 2.0
 
+
+def pair_weight(g, z: float) -> float:
+    return weight_matrix(g, z, 60).get("la", "lb")
+
+
+class TestDirectedWeight:
     def test_one_then_two(self):
         g = two_room_graph([("p1", "la", 0, 60), ("p1", "lb", 60, 120),
                             ("p1", "lb", 120, 180)])
-        expected = enumerate_directed_weight(g, "la", "lb", 0.5)
-        assert expected == pytest.approx(0.375, abs=1e-12)
-        assert directed_weight(g, "la", "lb", 0.5) == pytest.approx(expected, abs=1e-12)
+        assert enumerate_directed_weight(g, "la", "lb", 0.5) == pytest.approx(0.375, abs=1e-12)
+        assert enumerate_directed_weight(g, "lb", "la", 0.5) == 0.0
+        assert pair_weight(g, 0.5) == pytest.approx(
+            both_ways(enumerate_directed_weight, g, 0.5), abs=1e-12)
 
     def test_two_independent_hcps(self):
-        # each contributes Pr = 0.25, so 1 - 0.75^2
+        # each contributes Pr = 0.25 from la to lb, so 1 - 0.75^2
         rows = [("p1", "la", 0, 60), ("p1", "lb", 60, 120),
                 ("p2", "la", 120, 180), ("p2", "lb", 180, 240)]
         g = two_room_graph(rows, n_hcps=2)
-        expected = enumerate_directed_weight(g, "la", "lb", 0.5)
-        assert expected == pytest.approx(0.4375, abs=1e-12)
-        assert directed_weight(g, "la", "lb", 0.5) == pytest.approx(expected, abs=1e-12)
+        assert enumerate_directed_weight(g, "la", "lb", 0.5) == pytest.approx(0.4375, abs=1e-12)
+        assert pair_weight(g, 0.5) == pytest.approx(
+            both_ways(enumerate_directed_weight, g, 0.5), abs=1e-12)
 
     def test_z_zero(self):
         g = two_room_graph([("p1", "la", 0, 60), ("p1", "lb", 60, 120)])
-        assert directed_weight(g, "la", "lb", 0.0) == 0.0
-
-    def test_asymmetry_is_real(self):
-        g = two_room_graph([("p1", "la", 0, 60), ("p1", "lb", 60, 120)])
-        assert directed_weight(g, "la", "lb", 0.5) != directed_weight(g, "lb", "la", 0.5)
-
-    def test_not_chopped_rejected(self):
-        g = two_room_graph([("p1", "la", 0, 600), ("p1", "lb", 600, 660)])
-        with pytest.raises(NotChoppedError):
-            directed_weight(g, "la", "lb", 0.5, unit_s=60)
-
-    def test_boundary_fragment_accepted(self):
-        # chop of [0, 90) leaves a 30 s fragment; must not trip the check
-        g = chop_intervals(
-            two_room_graph([("p1", "la", 0, 90), ("p1", "lb", 90, 150)]), 60)
-        directed_weight(g, "la", "lb", 0.5, unit_s=60)
+        assert pair_weight(g, 0.0) == 0.0
 
     def test_matches_enumeration_on_randoms(self):
         rng = np.random.default_rng(2024)
         for _ in range(50):
             g = random_pair_graph(rng)
             z = float(rng.uniform(0.05, 0.95))
-            got = directed_weight(g, "la", "lb", z)
-            want = enumerate_directed_weight(g, "la", "lb", z)
-            assert got == pytest.approx(want, abs=1e-12)
+            want = both_ways(enumerate_directed_weight, g, z)
+            assert pair_weight(g, z) == pytest.approx(want, abs=1e-12)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(7)
@@ -94,23 +80,20 @@ class TestDirectedWeight:
         for i in range(10):
             g = random_pair_graph(rng)
             z = float(rng.uniform(0.1, 0.9))
-            exact = directed_weight(g, "la", "lb", z)
-            mc = mc_directed_weight(g, "la", "lb", z, samples, seed=i)
-            se = max(math.sqrt(exact * (1 - exact) / samples), 1e-9)
-            assert abs(mc - exact) <= 4 * se + 1e-12
+            exact = pair_weight(g, z)
+            ab = mc_directed_weight(g, "la", "lb", z, samples, seed=i)
+            ba = mc_directed_weight(g, "lb", "la", z, samples, seed=i)
+            # both directions share the seed, so their errors may correlate:
+            # the se of the mean is at most the mean of the two se
+            se = max((math.sqrt(ab * (1 - ab) / samples)
+                      + math.sqrt(ba * (1 - ba) / samples)) / 2, 1e-9)
+            assert abs((ab + ba) / 2 - exact) <= 4 * se + 1e-12
 
     @given(st.integers(0, 2 ** 31), st.floats(0.01, 0.5), st.floats(0.0, 0.49))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_z(self, seed, z, dz):
         g = random_pair_graph(np.random.default_rng(seed))
-        assert directed_weight(g, "la", "lb", z + dz) >= directed_weight(g, "la", "lb", z) - 1e-12
-
-    def test_probability_range(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            g = random_pair_graph(rng)
-            w = directed_weight(g, "la", "lb", float(rng.uniform(0, 1)))
-            assert 0.0 <= w <= 1.0
+        assert pair_weight(g, z + dz) >= pair_weight(g, z) - 1e-12
 
 
 class TestMonteCarloOracle:
@@ -151,13 +134,10 @@ class TestWeightMatrix:
         assert wm.locations == ("la",)
 
     def test_chops_internally(self):
-        # one long visit must not trip the chop check inside weight_matrix
+        # long visits count once per unit interval, as the chopped log does
         g = two_room_graph([("p1", "la", 0, 600), ("p1", "lb", 600, 1200)])
-        wm = weight_matrix(g, 0.1, 60)
-        chopped = chop_intervals(g, 60)
-        want = (directed_weight(chopped, "la", "lb", 0.1)
-                + directed_weight(chopped, "lb", "la", 0.1)) / 2
-        assert wm.get("la", "lb") == pytest.approx(want, abs=1e-12)
+        want = both_ways(enumerate_directed_weight, chop_intervals(g, 60), 0.1)
+        assert pair_weight(g, 0.1) == pytest.approx(want, abs=1e-12)
 
     def test_ns_only_scope(self):
         rows = [("p1", "la", 0, 60), ("p1", "lb", 60, 120),
