@@ -24,14 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .clustering import load_clustering, save_clustering
-from .episim import (
-    CasualContactModel,
-    DiseaseParams,
-    SimConfig,
-    replicates_to_csv,
-    simulate,
-    summary_to_json,
-)
+from .episim import replicates_to_csv, simulate, summary_to_json
 from .errors import ConfigError, CornError, InvalidKError, ParseError, SpecError
 from .manifest import RunManifest, load_manifest, sha256_file, sha256_text, write_manifest
 from .model import (
@@ -50,7 +43,7 @@ from .pipeline import ExperimentConfig, SolveFailure, run_experiment
 from .rewiring import rewire
 from .spatial import load_spatial_graph, save_spatial_graph, shortest_path_metric
 from .synth import FacilitySpec, generate_facility, generate_mobility
-from .weights import weight_matrix, write_weight_csv, z_from_rho
+from .weights import HCP_SCOPES, weight_matrix, write_weight_csv, z_from_rho
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,8 +68,9 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
                    help="per-interval transmission probability")
     g.add_argument("--rho", type=float, default=None,
                    help="per-minute transmission rate; z is derived from unit-s")
-    p.add_argument("--unit-s", type=int, default=60, help="interval grid in seconds")
-    p.add_argument("--hcp-scope", choices=("all", "ns_only"), default="all",
+    p.add_argument("--unit-s", type=int, default=ExperimentConfig.unit_s,
+                   help="interval grid in seconds")
+    p.add_argument("--hcp-scope", choices=HCP_SCOPES, default=ExperimentConfig.hcp_scope,
                    help="which HCP types contribute indirect-route weight")
 
 
@@ -261,19 +255,12 @@ def cmd_simulate(args, argv) -> int:
     hcps, locations, graph = _load_inputs(args)
     _fail_on_violations(graph)
     clustering = load_clustering(args.clustering) if args.clustering else None
-    disease = DiseaseParams(rho=args.rho, incubation_days=args.incubation_days,
-                            recovery_days=args.recovery_days,
-                            cross_bubble_scale=args.cross_bubble_scale)
-    casual = CasualContactModel(args.casual_contacts_per_day, args.casual_duration_min)
-    cfg = SimConfig(disease=disease, replicates=args.replicates, seed=args.seed,
-                    horizon_days=args.horizon_days, casual=casual)
+    cfg = ExperimentConfig(**_config_fields(args)).sim_config(
+        args.rho, args.replicates, args.seed)
     if args.rewire and clustering is None:
         raise ConfigError("--rewire needs --clustering")
-    if clustering is not None and args.rewire:
-        summary = simulate(rewire(graph, clustering, seed=args.seed),
-                           clustering, cfg, label="sim")
-    else:
-        summary = simulate(graph, clustering, cfg, label="sim")
+    g = rewire(graph, clustering, seed=args.seed) if args.rewire else graph
+    summary = simulate(g, clustering, cfg, label="sim")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     replicates_to_csv(summary, out / "sim.csv")
@@ -290,12 +277,15 @@ def cmd_simulate(args, argv) -> int:
 
 def _parse_k_list(raw: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(p) for p in raw.split(",") if p.strip())
+        return tuple(int(p) for p in raw.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad K list {raw!r}; expected comma-separated ints") from exc
-    if not ks:
-        raise ConfigError("K list is empty")
-    return ks
+
+
+def _config_fields(args) -> dict:
+    """The ExperimentConfig fields that the parsed flags carry under the field's name."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
+            if f.name not in ("facility", "inputs") and hasattr(args, f.name)}
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -309,29 +299,8 @@ def _experiment_config(args) -> ExperimentConfig:
                 "experiment needs --facility, or all of --hcps/--locations/--visits/--spatial")
         inputs = {"hcps": args.hcps, "locations": args.locations,
                   "visits": args.visits, "spatial": args.spatial}
-    return ExperimentConfig(
-        facility=facility,
-        inputs=inputs,
-        k_list=_parse_k_list(args.k),
-        replicates=args.replicates,
-        seed=args.seed,
-        unit_s=args.unit_s,
-        rho=args.rho,
-        target_r0=args.target_r0,
-        d_star_m=args.d_star_m,
-        y_star_h=args.y_star_h,
-        hcp_scope=args.hcp_scope,
-        keep_same_bubble_hcp=args.keep_same_bubble_hcp,
-        horizon_days=args.horizon_days,
-        casual_contacts_per_day=args.casual_contacts_per_day,
-        casual_duration_min=args.casual_duration_min,
-        incubation_days=args.incubation_days,
-        recovery_days=args.recovery_days,
-        cross_bubble_scale=args.cross_bubble_scale,
-        calibration_replicates=args.calibration_replicates,
-        time_limit_s=args.time_limit_s,
-        cost_rewirings=args.cost_rewirings,
-    )
+    return ExperimentConfig(facility=facility, inputs=inputs, k_list=_parse_k_list(args.k),
+                            **_config_fields(args))
 
 
 def _experiment_hashes(cfg: ExperimentConfig, args) -> dict[str, str]:
@@ -396,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="compute pairwise transmission weights")
     _add_input_flags(p)
     _add_weight_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_weights)
 
@@ -408,12 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_input_flags(p)
         _add_weight_flags(p)
         p.add_argument("--k", type=int, required=True, help="number of bubbles")
-        p.add_argument("--d-star-m", type=float, default=math.inf,
-                       help="bubble diameter cap in meters, or inf")
-        p.add_argument("--y-star-h", type=float, default=math.inf,
-                       help="load-demand gap cap in hours/day, or inf")
-        p.add_argument("--time-limit-s", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        _add_cap_flags(p)
+        p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
         p.add_argument("--out", required=True, help="output directory")
         if name == "export-model":
             p.add_argument("--format", choices=("lp", "mps"), default="lp")
@@ -425,10 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rewire", action="store_true",
                    help="rewire the log to the clustering before simulating")
     p.add_argument("--rho", type=float, required=True, help="per-minute transmission rate")
-    p.add_argument("--replicates", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon-days", type=int, default=None)
-    _add_disease_flags(p)
+    _add_sim_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
@@ -440,35 +402,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spatial", default=None)
     p.add_argument("--from-manifest", default=None,
                    help="re-run the exact configuration of an earlier manifest")
-    p.add_argument("--k", default="1,3,5", help="comma-separated bubble counts")
+    p.add_argument("--k", default=",".join(map(str, ExperimentConfig.k_list)),
+                   help="comma-separated bubble counts")
     rho_group = p.add_mutually_exclusive_group()
-    rho_group.add_argument("--rho", type=float, default=None)
-    rho_group.add_argument("--target-r0", type=float, default=None,
+    rho_group.add_argument("--rho", type=float, default=ExperimentConfig.rho)
+    rho_group.add_argument("--target-r0", type=float, default=ExperimentConfig.target_r0,
                            help="calibrate rho to this baseline R0")
-    p.add_argument("--replicates", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unit-s", type=int, default=60)
-    p.add_argument("--d-star-m", type=float, default=math.inf)
-    p.add_argument("--y-star-h", type=float, default=math.inf)
-    p.add_argument("--hcp-scope", choices=("all", "ns_only"), default="all")
+    p.add_argument("--unit-s", type=int, default=ExperimentConfig.unit_s)
+    _add_cap_flags(p)
+    p.add_argument("--hcp-scope", choices=HCP_SCOPES, default=ExperimentConfig.hcp_scope)
     p.add_argument("--keep-same-bubble-hcp", action="store_true")
-    p.add_argument("--horizon-days", type=int, default=None)
-    p.add_argument("--calibration-replicates", type=int, default=400)
-    p.add_argument("--time-limit-s", type=float, default=None)
-    p.add_argument("--cost-rewirings", type=int, default=30)
-    _add_disease_flags(p)
+    p.add_argument("--calibration-replicates", type=int,
+                   default=ExperimentConfig.calibration_replicates)
+    p.add_argument("--cost-rewirings", type=int, default=ExperimentConfig.cost_rewirings)
+    _add_sim_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_experiment)
 
     return ap
 
 
-def _add_disease_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--incubation-days", type=int, default=6)
-    p.add_argument("--recovery-days", type=int, default=10)
-    p.add_argument("--cross-bubble-scale", type=float, default=0.75)
-    p.add_argument("--casual-contacts-per-day", type=float, default=0.1)
-    p.add_argument("--casual-duration-min", type=float, default=15.0)
+def _add_cap_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d-star-m", type=float, default=ExperimentConfig.d_star_m,
+                   help="bubble diameter cap in meters, or inf")
+    p.add_argument("--y-star-h", type=float, default=ExperimentConfig.y_star_h,
+                   help="load-demand gap cap in hours/day, or inf")
+    p.add_argument("--time-limit-s", type=float, default=ExperimentConfig.time_limit_s)
+
+
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    """Replicates, seed, horizon and the disease and contact model, as in ExperimentConfig."""
+    c = ExperimentConfig
+    p.add_argument("--replicates", type=int, default=c.replicates)
+    p.add_argument("--seed", type=int, default=c.seed)
+    p.add_argument("--horizon-days", type=int, default=c.horizon_days)
+    p.add_argument("--incubation-days", type=int, default=c.incubation_days)
+    p.add_argument("--recovery-days", type=int, default=c.recovery_days)
+    p.add_argument("--cross-bubble-scale", type=float, default=c.cross_bubble_scale)
+    p.add_argument("--casual-contacts-per-day", type=float, default=c.casual_contacts_per_day)
+    p.add_argument("--casual-duration-min", type=float, default=c.casual_duration_min)
 
 
 def main(argv: list[str] | None = None) -> int:

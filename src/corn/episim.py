@@ -121,6 +121,21 @@ class SimConfig:
         if self.horizon_days is not None and self.horizon_days < 1:
             raise ConfigError("horizon_days must be >= 1")
 
+    def horizon(self, g: VisitGraph) -> int:
+        """horizon_days, or the log's own day count when it is unset."""
+        return self.horizon_days if self.horizon_days is not None else g.day_count
+
+    def echo(self, label: str, g: VisitGraph, k: int | None) -> dict:
+        """The settings a summary of replicates on g records next to its aggregates."""
+        d, c = self.disease, self.casual
+        return {
+            "label": label, "rho": d.rho, "incubation_days": d.incubation_days,
+            "recovery_days": d.recovery_days, "cross_bubble_scale": d.cross_bubble_scale,
+            "casual_contacts_per_day": c.contacts_per_day, "casual_duration_min": c.duration_min,
+            "horizon_days": self.horizon(g), "seed": self.seed, "replicates": self.replicates,
+            "k": k,
+        }
+
 
 class TransmissionEvent(NamedTuple):
     day: int
@@ -435,26 +450,14 @@ def simulate(
         check_coverage(graph, clustering)
     sched = build_contact_schedule(graph)
     members = _seed_member_indices(sched, cfg.seed_group)
-    horizon = cfg.horizon_days if cfg.horizon_days is not None else graph.day_count
+    horizon = cfg.horizon(graph)
 
     results = run_replicates(
         lambda rep: _run_replicate(sched, clustering, cfg.disease, cfg.casual, horizon,
                                    cfg.seed, rep, members, False, cfg.keep_transmission_log),
         cfg.replicates)
-    echo = {
-        "label": label,
-        "rho": cfg.disease.rho,
-        "incubation_days": cfg.disease.incubation_days,
-        "recovery_days": cfg.disease.recovery_days,
-        "cross_bubble_scale": cfg.disease.cross_bubble_scale,
-        "casual_contacts_per_day": cfg.casual.contacts_per_day,
-        "casual_duration_min": cfg.casual.duration_min,
-        "horizon_days": horizon,
-        "seed": cfg.seed,
-        "replicates": cfg.replicates,
-        "k": clustering.k if clustering is not None else None,
-    }
-    return _aggregate(label, results, echo)
+    k = clustering.k if clustering is not None else None
+    return _aggregate(label, results, cfg.echo(label, graph, k))
 
 
 @dataclass(frozen=True)
@@ -471,14 +474,13 @@ class R0Estimate:
 
 def estimate_r0(g: VisitGraph, rho: float, cfg: SimConfig) -> R0Estimate:
     """Mean secondary infections of the seed with all others non-transmitting."""
-    disease = replace(cfg.disease, rho=rho)
-    disease.check()
+    cfg = replace(cfg, disease=replace(cfg.disease, rho=rho))
+    cfg.check()
     sched = build_contact_schedule(g)
     members = _seed_member_indices(sched, cfg.seed_group)
-    horizon = cfg.horizon_days if cfg.horizon_days is not None else g.day_count
-    horizon = min(horizon, disease.infectious_span + 1)
+    horizon = min(cfg.horizon(g), cfg.disease.infectious_span + 1)
     results = run_replicates(
-        lambda rep: _run_replicate(sched, None, disease, cfg.casual, horizon,
+        lambda rep: _run_replicate(sched, None, cfg.disease, cfg.casual, horizon,
                                    cfg.seed, rep, members, only_seed=True),
         cfg.replicates)
     counts = np.array([r.infections_excl_seed for r in results], dtype=float)
@@ -501,55 +503,48 @@ def calibrate_rho(
     rho_cap: float = 10.0,
 ) -> CalibrationResult:
     """Bisection on rho until the R0 estimate is within tol of target."""
-    if target_r0 < 0:
-        raise ConfigError("target_r0 must be >= 0")
+    check_nonnegative(target_r0=target_r0)
     if target_r0 == 0.0:
         return CalibrationResult(0.0, estimate_r0(g, 0.0, cfg), 1)
 
-    history: list[tuple[float, float]] = []
+    history: list[R0Estimate] = []
 
-    def est(rho: float) -> float:
+    def est(rho: float) -> R0Estimate:
         e = estimate_r0(g, rho, cfg)
-        for prev_rho, prev_mean in history:
-            if (rho - prev_rho) * (e.mean - prev_mean) < -1e-12:
+        for prev in history:
+            if (rho - prev.rho) * (e.mean - prev.mean) < -1e-12:
                 raise NotBracketedError(
                     "R0 estimate is not monotone in rho; coupling assumption broken")
-        history.append((rho, e.mean))
-        return e.mean
+        history.append(e)
+        return e
 
-    evals = 0
     hi = 1e-4
-    while True:
-        evals += 1
-        if est(hi) >= target_r0:
-            break
+    while est(hi).mean < target_r0:
         hi *= 4.0
         if hi > rho_cap:
-            evals += 1
             top = est(rho_cap)
-            if top < target_r0 * (1.0 - tol):
+            if top.mean < target_r0 * (1.0 - tol):
                 raise NotBracketedError(
                     f"target R0 {target_r0:g} unreachable; at rho={rho_cap:g} "
-                    f"the estimate is {top:g}")
+                    f"the estimate is {top.mean:g}")
             hi = rho_cap
             break
     lo = 0.0
-    best_rho, best_mean = hi, history[-1][1]
+    best = history[-1]
     for _ in range(100):
-        if abs(best_mean - target_r0) <= tol * target_r0:
-            return CalibrationResult(best_rho, estimate_r0(g, best_rho, cfg), evals)
+        if abs(best.mean - target_r0) <= tol * target_r0:
+            return CalibrationResult(best.rho, best, len(history))
         mid = 0.5 * (lo + hi)
-        evals += 1
-        m = est(mid)
-        if abs(m - target_r0) < abs(best_mean - target_r0):
-            best_rho, best_mean = mid, m
-        if m < target_r0:
+        e = est(mid)
+        if abs(e.mean - target_r0) < abs(best.mean - target_r0):
+            best = e
+        if e.mean < target_r0:
             lo = mid
         else:
             hi = mid
     raise NotBracketedError(
         f"bisection failed to land within {tol:.0%} of target {target_r0:g}; "
-        f"closest estimate {best_mean:g} at rho={best_rho:g}")
+        f"closest estimate {best.mean:g} at rho={best.rho:g}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one non-negativity check."""
+"""Exception types shared across the package, and the shared value checks."""
+
+import dataclasses
+import numbers
 
 
 class CornError(Exception):
@@ -46,3 +49,21 @@ def check_nonnegative(**values: float | None) -> None:
     for name, v in values.items():
         if v is not None and not v >= 0:
             raise ConfigError(f"{name}={v} must be a number >= 0")
+
+
+def is_integer(v) -> bool:
+    """An int or numpy integer; a bool is no count, so JSON true is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_field_types(obj, error: type[CornError]) -> None:
+    """error for a dataclass field annotated int or bool (or either | None) of another type."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        kind = f.type.removesuffix(" | None")
+        if v is None and kind != f.type:
+            continue
+        if kind == "bool" and not isinstance(v, bool):
+            raise error(f"{f.name}={v!r} must be true or false")
+        if kind == "int" and not is_integer(v):
+            raise error(f"{f.name}={v!r} must be an integer")

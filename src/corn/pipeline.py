@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,8 @@ from .episim import (
     simulate,
     summary_to_json,
 )
-from .errors import ConfigError, CornError, ValidationError, check_nonnegative
+from .errors import (ConfigError, CornError, ValidationError, check_field_types,
+                     check_nonnegative, is_integer)
 from .model import (
     VisitGraph,
     compute_loads_demands,
@@ -53,9 +54,11 @@ from .model import (
 )
 from .optimizer import ClusterInstance, SolveResult, build_model, solve, verify_clustering
 from .rewiring import CostReport, compute_costs, random_clustering, rewire, write_cost_csv
-from .spatial import load_spatial_graph, save_spatial_graph, shortest_path_metric
+from .spatial import (DistanceMatrix, load_spatial_graph, save_spatial_graph,
+                      shortest_path_metric)
 from .synth import FacilitySpec, generate_facility, generate_mobility
-from .weights import weight_matrix, write_weight_csv, z_from_rho
+from .weights import (check_hcp_scope, check_z, weight_matrix, write_weight_csv,
+                      z_from_rho)
 
 # spawn-key namespaces for the one master seed
 _NS_CALIBRATION = 0
@@ -73,29 +76,47 @@ def derive_seed(master: int, *key: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One study: its inputs, bubble counts, caps and model, flat and JSON-ready.
+
+    The model's defaults are those of DiseaseParams, CasualContactModel,
+    SimConfig and ClusterInstance; the CLI's defaults are these fields.
+    """
+
     facility: FacilitySpec | None = None
     inputs: dict | None = None  # real logs: hcps/locations/visits/spatial paths
     k_list: tuple[int, ...] = (1, 3, 5)
-    replicates: int = 500
+    replicates: int = SimConfig.replicates
     seed: int = 0
     unit_s: int = 60
     rho: float | None = None
     target_r0: float | None = None
-    d_star_m: float = math.inf
-    y_star_h: float = math.inf
+    d_star_m: float = ClusterInstance.d_star_m
+    y_star_h: float = ClusterInstance.y_star_h
     hcp_scope: str = "all"
     keep_same_bubble_hcp: bool = False
     horizon_days: int | None = None
-    casual_contacts_per_day: float = 0.1
-    casual_duration_min: float = 15.0
-    incubation_days: int = 6
-    recovery_days: int = 10
-    cross_bubble_scale: float = 0.75
+    casual_contacts_per_day: float = CasualContactModel.contacts_per_day
+    casual_duration_min: float = CasualContactModel.duration_min
+    incubation_days: int = DiseaseParams.incubation_days
+    recovery_days: int = DiseaseParams.recovery_days
+    cross_bubble_scale: float = DiseaseParams.cross_bubble_scale
     calibration_replicates: int = 400
     time_limit_s: float | None = None
     cost_rewirings: int = 30
 
+    def sim_config(self, rho: float, replicates: int, seed: int) -> SimConfig:
+        """The study's disease and contact model at one rho."""
+        return SimConfig(
+            disease=DiseaseParams(rho=rho, incubation_days=self.incubation_days,
+                                  recovery_days=self.recovery_days,
+                                  cross_bubble_scale=self.cross_bubble_scale),
+            replicates=replicates, seed=seed, horizon_days=self.horizon_days,
+            casual=CasualContactModel(self.casual_contacts_per_day,
+                                      self.casual_duration_min),
+        )
+
     def check(self) -> None:
+        check_field_types(self, ConfigError)
         if (self.facility is None) == (self.inputs is None):
             raise ConfigError("exactly one of facility or inputs must be set")
         if self.facility is not None:
@@ -104,18 +125,19 @@ class ExperimentConfig:
             missing = {"hcps", "locations", "visits", "spatial"} - set(self.inputs)
             if missing:
                 raise ConfigError(f"inputs is missing paths for: {sorted(missing)}")
-        if not self.k_list:
-            raise ConfigError("k_list must not be empty")
-        if self.replicates < 1 or self.calibration_replicates < 1:
-            raise ConfigError("replicate counts must be >= 1")
+        if not self.k_list or not all(is_integer(k) and k >= 1 for k in self.k_list):
+            raise ConfigError(f"k_list={list(self.k_list)!r} must hold one or more integers >= 1")
+        check_hcp_scope(self.hcp_scope)
         if (self.rho is None) == (self.target_r0 is None):
             raise ConfigError("exactly one of rho or target_r0 must be set")
-        if self.unit_s < 1:
-            raise ConfigError("unit_s must be >= 1")
-        if self.cost_rewirings < 1:
-            raise ConfigError("cost_rewirings must be >= 1")
-        check_nonnegative(d_star_m=self.d_star_m, y_star_h=self.y_star_h,
-                          time_limit_s=self.time_limit_s)
+        if self.unit_s < 1 or self.cost_rewirings < 1:
+            raise ConfigError("unit_s and cost_rewirings must be >= 1")
+        check_nonnegative(target_r0=self.target_r0, d_star_m=self.d_star_m,
+                          y_star_h=self.y_star_h, time_limit_s=self.time_limit_s)
+        rho = self.rho if self.rho is not None else 0.0  # calibration sets it later
+        for replicates in (self.replicates, self.calibration_replicates):
+            self.sim_config(rho, replicates, self.seed).check()
+        check_z(z_from_rho(rho, self.unit_s))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -132,7 +154,7 @@ class ExperimentConfig:
             raw = dict(raw)
             if raw.get("facility") is not None:
                 raw["facility"] = FacilitySpec.from_dict(raw["facility"])
-            raw["k_list"] = tuple(int(k) for k in raw["k_list"])
+            raw["k_list"] = tuple(raw["k_list"])
             raw["d_star_m"] = float(raw["d_star_m"])
             raw["y_star_h"] = float(raw["y_star_h"])
             cfg = ExperimentConfig(**raw)
@@ -159,26 +181,40 @@ class SolveFailure(CornError):
         self.status = status
 
 
-def _arm_job(c: dict, rep: int):
+@dataclass(frozen=True)
+class _Arm:
+    """What every replicate of one method arm at one K reads."""
+
+    method: str  # "corn" rewires to clustering; "random" draws its own per replicate
+    clustering: BubbleClustering  # the solved one at this K
+    graph: VisitGraph
+    dist: DistanceMatrix
+    sim: SimConfig  # the seed is the simulation master seed, shared by all arms
+    master_seed: int
+    keep_same_bubble_hcp: bool
+    cost_rewirings: int  # replicates below this index also cost their rewiring
+
+
+def _arm_job(arm: _Arm, rep: int):
     """One arm replicate: rewire, simulate, and cost the first rewirings."""
-    graph: VisitGraph = c["graph"]
-    if c["method"] == "random":
+    graph, k = arm.graph, arm.clustering.k
+    if arm.method == "random":
         clustering = random_clustering(
-            graph.hcps, c["l_s"], c["k"],
-            seed=derive_seed(c["seed"], _NS_CLUSTER_RANDOM, c["k"], rep))
-        rw_seed = derive_seed(c["seed"], _NS_REWIRE_RANDOM, c["k"], rep)
+            graph.hcps, graph.locations.substitutable, k,
+            seed=derive_seed(arm.master_seed, _NS_CLUSTER_RANDOM, k, rep))
+        rw_seed = derive_seed(arm.master_seed, _NS_REWIRE_RANDOM, k, rep)
     else:
-        clustering = c["clustering"]
-        rw_seed = derive_seed(c["seed"], _NS_REWIRE_CORN, c["k"], rep)
+        clustering = arm.clustering
+        rw_seed = derive_seed(arm.master_seed, _NS_REWIRE_CORN, k, rep)
     rw = rewire(graph, clustering, seed=rw_seed,
-                keep_same_bubble_hcp=c["keep_same_bubble_hcp"])
+                keep_same_bubble_hcp=arm.keep_same_bubble_hcp)
     sched = build_contact_schedule(rw.graph)
     members = _seed_member_indices(sched, None)
-    result = _run_replicate(sched, clustering, c["disease"], c["casual"],
-                            c["horizon"], c["sim_master"], rep, members)
-    if rep >= c["cost_rewirings"]:
+    result = _run_replicate(sched, clustering, arm.sim.disease, arm.sim.casual,
+                            arm.sim.horizon(graph), arm.sim.seed, rep, members)
+    if rep >= arm.cost_rewirings:
         return result, None, None
-    costs = compute_costs(graph, rw, c["dist"], clustering=clustering)
+    costs = compute_costs(graph, rw, arm.dist, clustering=clustering)
     row = {
         "excess_load_mean_h_per_day": statistics.mean(costs.excess_load.values()),
         "unmet_demand_mean_h_per_day": statistics.mean(costs.unmet_demand.values()),
@@ -190,21 +226,10 @@ def _arm_job(c: dict, rep: int):
     return result, row, costs if rep == 0 else None
 
 
-def _run_arm(label: str, ctx: dict,
-             replicates: int) -> tuple[SimSummary, list[dict], CostReport]:
+def _run_arm(label: str, arm: _Arm) -> tuple[SimSummary, list[dict], CostReport]:
     """The arm's summary, its cost rows, and the cost report of replicate 0."""
-    out = run_replicates(functools.partial(_arm_job, ctx), replicates)
-    d: DiseaseParams = ctx["disease"]
-    c: CasualContactModel = ctx["casual"]
-    echo = {
-        "label": label, "method": ctx["method"], "k": ctx["k"],
-        "replicates": replicates, "rho": d.rho,
-        "incubation_days": d.incubation_days, "recovery_days": d.recovery_days,
-        "cross_bubble_scale": d.cross_bubble_scale,
-        "casual_contacts_per_day": c.contacts_per_day,
-        "casual_duration_min": c.duration_min,
-        "horizon_days": ctx["horizon"], "seed": ctx["sim_master"],
-    }
+    out = run_replicates(functools.partial(_arm_job, arm), arm.sim.replicates)
+    echo = arm.sim.echo(label, arm.graph, arm.clustering.k) | {"method": arm.method}
     summary = _aggregate(label, [r for r, _, _ in out], echo)
     return summary, [row for _, row, _ in out if row is not None], out[0][2]
 
@@ -224,20 +249,11 @@ def _write_json(path: Path, payload) -> None:
 
 def resolve_rho(graph: VisitGraph, cfg: ExperimentConfig) -> tuple[float, dict]:
     """Either the explicit rho or a calibrated one, plus a provenance record."""
-    disease = DiseaseParams(
-        rho=cfg.rho if cfg.rho is not None else 1.0,
-        incubation_days=cfg.incubation_days,
-        recovery_days=cfg.recovery_days,
-        cross_bubble_scale=cfg.cross_bubble_scale,
-    )
-    casual = CasualContactModel(cfg.casual_contacts_per_day, cfg.casual_duration_min)
     if cfg.rho is not None:
         return cfg.rho, {"rho": cfg.rho, "source": "explicit"}
-    cal_cfg = SimConfig(
-        disease=disease, replicates=cfg.calibration_replicates,
-        seed=derive_seed(cfg.seed, _NS_CALIBRATION), casual=casual,
-        horizon_days=cfg.horizon_days,
-    )
+    # calibrate_rho sets the rho of each evaluation itself
+    cal_cfg = cfg.sim_config(0.0, cfg.calibration_replicates,
+                             derive_seed(cfg.seed, _NS_CALIBRATION))
     cal = calibrate_rho(graph, cfg.target_r0, cal_cfg)
     return cal.rho, {
         "rho": cal.rho,
@@ -283,10 +299,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
     loads = compute_loads_demands(graph)
 
     rho, rho_record = resolve_rho(graph, cfg)
-    disease = DiseaseParams(rho=rho, incubation_days=cfg.incubation_days,
-                            recovery_days=cfg.recovery_days,
-                            cross_bubble_scale=cfg.cross_bubble_scale)
-    casual = CasualContactModel(cfg.casual_contacts_per_day, cfg.casual_duration_min)
     z = z_from_rho(rho, cfg.unit_s)
     weights = weight_matrix(graph, z, cfg.unit_s, hcp_scope=cfg.hcp_scope)
     write_weight_csv(weights, reports / "weights.csv")
@@ -296,14 +308,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         "y_star_h": repr(cfg.y_star_h),
     })
 
-    horizon = cfg.horizon_days if cfg.horizon_days is not None else graph.day_count
-    sim_master = derive_seed(cfg.seed, _NS_SIM)
-    l_s = tuple(locations.substitutable)
-
-    baseline_cfg = SimConfig(disease=disease, replicates=cfg.replicates,
-                             seed=sim_master, casual=casual, horizon_days=horizon)
+    sim_cfg = cfg.sim_config(rho, cfg.replicates, derive_seed(cfg.seed, _NS_SIM))
     summaries: dict[str, SimSummary] = {}
-    summaries["baseline"] = simulate(graph, None, baseline_cfg, label="baseline")
+    summaries["baseline"] = simulate(graph, None, sim_cfg, label="baseline")
 
     clusterings: dict[int, BubbleClustering] = {}
     solve_records: dict[str, dict] = {}
@@ -330,17 +337,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         clusterings[k] = res.clustering
         save_clustering(res.clustering, reports / f"clustering_corn_k{k}.json")
 
-        ctx = {
-            "graph": graph, "clustering": res.clustering, "k": k, "l_s": l_s,
-            "seed": cfg.seed, "keep_same_bubble_hcp": cfg.keep_same_bubble_hcp,
-            "disease": disease, "casual": casual, "horizon": horizon,
-            "sim_master": sim_master, "dist": dist,
-            "cost_rewirings": min(cfg.cost_rewirings, cfg.replicates),
-        }
+        arm = _Arm(
+            method="corn", clustering=res.clustering, graph=graph, dist=dist, sim=sim_cfg,
+            master_seed=cfg.seed, keep_same_bubble_hcp=cfg.keep_same_bubble_hcp,
+            cost_rewirings=cfg.cost_rewirings,
+        )
         for method in ("corn", "random"):
             label = f"{method}_k{k}"
             summaries[label], cost_rows, canonical = _run_arm(
-                label, dict(ctx, method=method), cfg.replicates)
+                label, replace(arm, method=method))
             write_cost_csv(canonical, reports / f"costs_{label}_hcp.csv",
                            reports / f"costs_{label}_loc.csv")
             _write_json(reports / f"costs_{label}.json", _cost_summary(cost_rows))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import BubbleClustering, canonicalize
-from .errors import SpecError
+from .errors import SpecError, check_field_types, is_integer
 from .model import (
     KIND_NON_SUBSTITUTABLE,
     KIND_SUBSTITUTABLE,
@@ -68,9 +68,10 @@ class FacilitySpec:
     staffing_scaled_rates: bool = True
 
     def check(self) -> None:
+        check_field_types(self, SpecError)
         if self.rooms < 1 or self.hallway_nodes < 1 or self.days < 1:
             raise SpecError("rooms, hallway_nodes, and days must be >= 1")
-        if not self.hcp_groups or any(c < 1 for _, c in self.hcp_groups):
+        if not self.hcp_groups or any(not is_integer(c) or c < 1 for _, c in self.hcp_groups):
             raise SpecError("hcp_groups must list at least one group with count >= 1")
         if len({lab for lab, _ in self.hcp_groups}) != len(self.hcp_groups):
             raise SpecError("duplicate group label")
@@ -78,21 +79,21 @@ class FacilitySpec:
             raise SpecError(f"group label {NS_TYPE!r} is reserved")
         if self.non_substitutable < 0:
             raise SpecError("non_substitutable must be >= 0")
-        if self.corridor_length_m <= 0 or self.room_spur_m <= 0:
+        if not (self.corridor_length_m > 0 and self.room_spur_m > 0):
             raise SpecError("lengths must be positive")
         if not 0 < self.shift_length_h <= 24 or not 0 <= self.shift_start_h < 24:
             raise SpecError("shift hours out of range")
         if self.shift_start_h * 3600 + self.shift_length_h * 3600 > SECONDS_PER_DAY:
             raise SpecError("shift must end within its day")
-        if self.visits_per_hcp_per_day < 0 or self.visit_duration_min <= 0:
+        if not (self.visits_per_hcp_per_day >= 0 and self.visit_duration_min > 0):
             raise SpecError("visit rate/duration out of range")
         if not 0.0 <= self.locality <= 1.0:
             raise SpecError("locality must lie in [0, 1]")
         if not 1 <= self.zones <= self.rooms:
             raise SpecError("zones must lie in 1..rooms")
-        if self.break_visits_per_day < 0 or self.break_duration_min <= 0:
+        if self.break_visits_per_day < 0 or not self.break_duration_min > 0:
             raise SpecError("break parameters out of range")
-        if self.ns_caseload < 1 or self.ns_room_visits < 1 or self.ns_visit_duration_min <= 0:
+        if self.ns_caseload < 1 or self.ns_room_visits < 1 or not self.ns_visit_duration_min > 0:
             raise SpecError("ns visit parameters out of range")
         if not 0.0 <= self.ns_far_fraction <= 1.0:
             raise SpecError("ns_far_fraction must lie in [0, 1]")
@@ -109,7 +110,7 @@ class FacilitySpec:
     def from_dict(raw: dict) -> "FacilitySpec":
         try:
             raw = dict(raw)
-            raw["hcp_groups"] = tuple((str(l), int(c)) for l, c in raw["hcp_groups"])
+            raw["hcp_groups"] = tuple((str(l), c) for l, c in raw["hcp_groups"])
             spec = FacilitySpec(**raw)
             spec.check()
         except (KeyError, TypeError, ValueError) as exc:

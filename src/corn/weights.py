@@ -33,14 +33,18 @@ def z_from_rho(rho_per_min: float, unit_s: int) -> float:
     return rho_per_min * (unit_s / 60.0)
 
 
-def _check_z(z: float) -> None:
+def check_z(z: float) -> None:
     if not 0.0 <= z <= 1.0:
         raise ConfigError(f"z must be in [0, 1], got {z}")
 
 
-def _scope_hcps(g: VisitGraph, hcp_scope: str) -> set[str]:
+def check_hcp_scope(hcp_scope: str) -> None:
     if hcp_scope not in HCP_SCOPES:
         raise ConfigError(f"hcp_scope must be one of {HCP_SCOPES}, got {hcp_scope!r}")
+
+
+def _scope_hcps(g: VisitGraph, hcp_scope: str) -> set[str]:
+    check_hcp_scope(hcp_scope)
     if hcp_scope == "ns_only":
         return set(g.hcps.non_substitutable)
     return set(g.hcps.ids)
@@ -73,7 +77,7 @@ def weight_matrix(
     hcp_scope: str = "all",
 ) -> WeightMatrix:
     """Chop the graph to unit_s and average the two directed weights per pair."""
-    _check_z(z)
+    check_z(z)
     chopped = chop_intervals(g, unit_s)
     scope = _scope_hcps(chopped, hcp_scope)
     # index once: hcp -> location -> sorted interval list

@@ -17,8 +17,12 @@ from corn.cli import (
     EXIT_OK,
     EXIT_TIMEOUT,
     EXIT_USAGE,
+    _experiment_config,
+    build_parser,
     main,
 )
+from corn.episim import DiseaseParams, SimConfig
+from corn.pipeline import ExperimentConfig
 from corn.synth import FacilitySpec
 
 
@@ -74,6 +78,12 @@ def manifest_text(config) -> str:
 # NaN or negative caps and time limits; each is a usage error
 BAD_CAPS = [[flag, value] for flag in ("--d-star-m", "--y-star-h", "--time-limit-s")
             for value in ("nan", "-1")]
+
+# model values out of range; each is a usage error
+BAD_MODEL = [["--cross-bubble-scale", "2"], ["--incubation-days", "0"],
+             ["--recovery-days", "0"], ["--horizon-days", "0"],
+             ["--casual-duration-min", "nan"], ["--casual-contacts-per-day", "-1"],
+             ["--target-r0", "nan"]]
 
 
 def input_args(d):
@@ -313,7 +323,7 @@ class TestExperiment:
         assert rc == EXIT_USAGE
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flags", BAD_CAPS)
+    @pytest.mark.parametrize("flags", BAD_CAPS + BAD_MODEL)
     def test_bad_caps_fail_before_calibration(self, tmp_path, capsys, flags):
         spec_path = tmp_path / "spec.json"
         tiny_spec().to_json(spec_path)
@@ -323,6 +333,26 @@ class TestExperiment:
         assert rc == EXIT_USAGE
         assert not out.exists()
         capsys.readouterr()
+
+    def test_z_above_one_fails_before_output(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        tiny_spec().to_json(spec_path)
+        out = tmp_path / "z"
+        rc = main(["experiment", "--facility", str(spec_path), "--rho", "0.5",
+                   "--unit-s", "600", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+        assert "z must be" in capsys.readouterr().err
+
+    def test_defaults_are_the_dataclasses(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        tiny_spec().to_json(spec_path)
+        args = build_parser().parse_args(
+            ["experiment", "--facility", str(spec_path), "--rho", "0.002", "--out", "x"])
+        cfg = _experiment_config(args)
+        assert cfg == ExperimentConfig(facility=tiny_spec(), rho=0.002)
+        assert cfg.sim_config(0.002, cfg.replicates, cfg.seed) == SimConfig(
+            disease=DiseaseParams(rho=0.002))
 
     def test_facility_and_inputs_exclusive(self, inputs, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -373,6 +403,10 @@ class TestMalformedInputs:
     @example(target="manifest", content=manifest_text(
         {"k_list": [1], "d_star_m": "inf", "y_star_h": "inf", "colour": "red"}))
     @example(target="spec", content=json.dumps(dict(tiny_spec().to_dict(), rooms="x")))
+    @example(target="manifest", content=manifest_text(dict(ExperimentConfig(
+        facility=tiny_spec(), k_list=(1,), rho=0.002, cost_rewirings=1).to_dict(),
+        replicates=2.5)))
+    @example(target="spec", content=json.dumps(dict(tiny_spec().to_dict(), rooms=6.5)))
     @settings(max_examples=150, deadline=None)
     def test_exits_without_traceback(self, inputs, clustering, manifest, target, content):
         with tempfile.TemporaryDirectory() as tmp:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import corn.episim
 from corn.clustering import BubbleClustering
 from corn.episim import (
     CasualContactModel,
@@ -272,6 +273,13 @@ class TestR0:
         means = [estimate_r0(g, r, cfg).mean for r in (0.01, 0.1, 1.0)]
         assert means == sorted(means)
 
+    @pytest.mark.parametrize("casual", [CasualContactModel(duration_min=math.nan),
+                                        CasualContactModel(contacts_per_day=-1.0)])
+    def test_bad_casual_rejected(self, casual):
+        cfg = SimConfig(disease=disease(0.0), replicates=20, casual=casual)
+        with pytest.raises(ConfigError):
+            estimate_r0(solo_graph(), 0.1, cfg)
+
     def test_ci_brackets_mean(self):
         cfg = SimConfig(disease=disease(0.0), replicates=80)
         est = estimate_r0(solo_graph(), 0.2, cfg)
@@ -306,6 +314,26 @@ class TestCalibration:
         cfg = SimConfig(disease=disease(0.0), replicates=10)
         with pytest.raises(ConfigError):
             calibrate_rho(solo_graph(), -1.0, cfg)
+
+    def test_nan_target(self, monkeypatch):
+        monkeypatch.setattr(corn.episim, "estimate_r0", None)  # rejected before any run
+        cfg = SimConfig(disease=disease(0.0), replicates=10)
+        with pytest.raises(ConfigError):
+            calibrate_rho(solo_graph(), math.nan, cfg)
+
+    def test_each_evaluation_runs_once(self, monkeypatch):
+        calls = []
+
+        def counted(g, rho, cfg):
+            calls.append(rho)
+            return estimate_r0(g, rho, cfg)
+
+        monkeypatch.setattr(corn.episim, "estimate_r0", counted)
+        cfg = SimConfig(disease=disease(0.0), replicates=200, casual=NO_CASUAL)
+        cal = calibrate_rho(solo_graph(), 0.5, cfg)
+        assert cal.evaluations > 2
+        assert len(calls) == cal.evaluations
+        assert cal.estimate == estimate_r0(solo_graph(), cal.rho, cfg)
 
 
 def fake_summary(label, counts):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -85,6 +86,18 @@ class TestSpecValidation:
         dict(shift_length_h=8.0, shift_start_h=20.0),  # runs past midnight
         dict(visit_duration_min=0.0),
         dict(ns_far_fraction=2.0),
+        dict(corridor_length_m=math.nan),
+        dict(room_spur_m=math.nan),
+        dict(shift_length_h=math.nan),
+        dict(shift_start_h=math.nan),
+        dict(visits_per_hcp_per_day=math.nan),
+        dict(visit_duration_min=math.nan),
+        dict(break_duration_min=math.nan),
+        dict(ns_visit_duration_min=math.nan),
+        dict(rooms=6.5),
+        dict(days=True),
+        dict(hcp_groups=(("n", 2.5),)),
+        dict(staffing_scaled_rates="no"),
     ])
     def test_rejected(self, kw):
         with pytest.raises(SpecError):
