@@ -133,6 +133,8 @@ def cmd_synth(args, argv) -> int:
     spec = FacilitySpec.from_json(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    m = _start_manifest("synth", argv, {"spec": spec.to_dict()}, spec.seed,
+                        {"spec": sha256_file(args.spec)})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     facility = generate_facility(spec)
@@ -143,8 +145,6 @@ def cmd_synth(args, argv) -> int:
     write_location_roster(locations, out / "locations.csv")
     write_mobility_log(graph, out / "visits.csv")
     save_spatial_graph(spatial, out / "spatial.json")
-    m = _start_manifest("synth", argv, {"spec": spec.to_dict()}, spec.seed,
-                        {"spec": sha256_file(args.spec)})
     _finish_manifest(m, out)
     print(f"wrote {len(graph.visits)} visits over {graph.day_count} days to {out}")
     return EXIT_OK
@@ -153,16 +153,16 @@ def cmd_synth(args, argv) -> int:
 # -- weights ----------------------------------------------------------------
 
 def cmd_weights(args, argv) -> int:
+    z = _resolve_z(args)
+    cfg = {"z": z, "rho": args.rho, "unit_s": args.unit_s, "hcp_scope": args.hcp_scope}
+    m = _start_manifest("weights", argv, cfg, args.seed,
+                        _input_hashes(args, ("hcps", "locations", "visits")))
     hcps, locations, graph = _load_inputs(args)
     _fail_on_violations(graph)
-    z = _resolve_z(args)
     wm = weight_matrix(graph, z, args.unit_s, hcp_scope=args.hcp_scope)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_weight_csv(wm, out / "weights.csv")
-    cfg = {"z": z, "rho": args.rho, "unit_s": args.unit_s, "hcp_scope": args.hcp_scope}
-    m = _start_manifest("weights", argv, cfg, args.seed,
-                        _input_hashes(args, ("hcps", "locations", "visits")))
     _finish_manifest(m, out)
     print(f"wrote {len(wm.nonzero_pairs())} positive pairs to {out / 'weights.csv'}")
     return EXIT_OK
@@ -207,6 +207,9 @@ def _cluster_config(args, z: float) -> dict:
 
 
 def cmd_cluster(args, argv) -> int:
+    m = _start_manifest("cluster", argv, _cluster_config(args, _resolve_z(args)),
+                        args.seed,
+                        _input_hashes(args, ("hcps", "locations", "visits", "spatial")))
     inst = _build_instance(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -221,9 +224,6 @@ def cmd_cluster(args, argv) -> int:
             raise CornError(f"solver output failed post-hoc verification: {bad}")
         save_clustering(res.clustering, out / "clustering.json")
     (out / "solve.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    m = _start_manifest("cluster", argv, _cluster_config(args, _resolve_z(args)),
-                        args.seed,
-                        _input_hashes(args, ("hcps", "locations", "visits", "spatial")))
     _finish_manifest(m, out)
     print(f"status {res.status}"
           + (f", objective {res.objective:.6f}" if res.objective is not None else "")
@@ -232,17 +232,16 @@ def cmd_cluster(args, argv) -> int:
 
 
 def cmd_export_model(args, argv) -> int:
-    inst = _build_instance(args)
-    model = build_model(inst)
+    cfg = _cluster_config(args, _resolve_z(args))
+    cfg["format"] = args.format
+    m = _start_manifest("export-model", argv, cfg, args.seed,
+                        _input_hashes(args, ("hcps", "locations", "visits", "spatial")))
+    model = build_model(_build_instance(args))
     text = export_model(model, f"{args.format}-text")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"model.{args.format}"
     path.write_text(text)
-    cfg = _cluster_config(args, _resolve_z(args))
-    cfg["format"] = args.format
-    m = _start_manifest("export-model", argv, cfg, args.seed,
-                        _input_hashes(args, ("hcps", "locations", "visits", "spatial")))
     m.input_hashes["model"] = sha256_text(text)
     _finish_manifest(m, out)
     print(f"wrote {path}")
@@ -259,14 +258,15 @@ def cmd_simulate(args, argv) -> int:
         args.rho, args.replicates, args.seed)
     if args.rewire and clustering is None:
         raise ConfigError("--rewire needs --clustering")
-    g = rewire(graph, clustering, seed=args.seed) if args.rewire else graph
+    g = rewire(graph, clustering, seed=args.seed).graph if args.rewire else graph
+    k = clustering.k if clustering is not None else None
+    m = _start_manifest("simulate", argv, cfg.echo("sim", g, k), args.seed,
+                        _input_hashes(args, ("hcps", "locations", "visits", "clustering")))
     summary = simulate(g, clustering, cfg, label="sim")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     replicates_to_csv(summary, out / "sim.csv")
     summary_to_json(summary, out / "sim.json")
-    m = _start_manifest("simulate", argv, dict(summary.config), args.seed,
-                        _input_hashes(args, ("hcps", "locations", "visits", "clustering")))
     _finish_manifest(m, out)
     a = summary.aggregates
     print(f"{args.replicates} replicates, mean infections {a['infections_mean']:.3f}")

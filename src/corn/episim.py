@@ -14,9 +14,10 @@ infectivity values: raising rho can only turn misses into hits for a
 fixed seed agent, which estimate_r0 relies on during calibration.
 
 Agents are the roster's HCPs plus one static resident per substitutable
-room, named by the room. Casual HCP-HCP contacts model mixing that the
-visit log does not record. When a clustering is supplied, contacts
-between HCPs placed in different bubbles are damped by
+room, named by the room. Every outbreak is seeded in a member of the
+roster's first substitutable group. Casual HCP-HCP contacts model mixing
+that the visit log does not record. When a clustering is supplied,
+contacts between HCPs placed in different bubbles are damped by
 cross_bubble_scale; contacts involving unclustered HCPs are kept at full
 strength.
 """
@@ -39,6 +40,9 @@ from .model import SECONDS_PER_DAY, VisitGraph
 from .rewiring import RewiredGraph, check_coverage
 
 CASUAL_LOCATION = "casual"
+R0_TOLERANCE = 0.05  # calibration stops within this fraction of the target R0
+RHO_MAX = 10.0  # calibration gives up when R0 stays below target at this rho
+BOOTSTRAP_DRAWS = 2000  # resamples behind each comparison interval
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,6 @@ class DiseaseParams:
     rho: float  # infection probability per minute of contact at peak shedding
     incubation_days: int = 6
     recovery_days: int = 10
-    ramp_up_rate: float | None = None
-    ramp_down_rate: float | None = None
     cross_bubble_scale: float = 0.75
 
     def check(self) -> None:
@@ -56,23 +58,15 @@ class DiseaseParams:
             raise ConfigError("incubation_days and recovery_days must be >= 1")
         if not 0.0 <= self.cross_bubble_scale <= 1.0:
             raise ConfigError("cross_bubble_scale must lie in [0, 1]")
-        for r in (self.ramp_up_rate, self.ramp_down_rate):
-            if r is not None and not r > 0:
-                raise ConfigError("ramp rates must be positive when given")
 
     @property
     def infectious_span(self) -> int:
         return self.incubation_days + self.recovery_days
 
     def rates(self) -> tuple[float, float]:
-        # defaults put the curve at 0.05 one day after infection and at recovery
-        up = self.ramp_up_rate
-        if up is None:
-            up = math.log(20.0) / max(1, self.incubation_days - 1)
-        down = self.ramp_down_rate
-        if down is None:
-            down = math.log(20.0) / self.recovery_days
-        return up, down
+        """Ramp rates that put the curve at 0.05 one day after infection and at recovery."""
+        return (math.log(20.0) / max(1, self.incubation_days - 1),
+                math.log(20.0) / self.recovery_days)
 
 
 def shedding(day_since_infection: int, p: DiseaseParams) -> float:
@@ -110,7 +104,6 @@ class SimConfig:
     seed: int = 0
     horizon_days: int | None = None
     casual: CasualContactModel = CasualContactModel()
-    seed_group: str | None = None  # None: first substitutable group label
     keep_transmission_log: bool = False
 
     def check(self) -> None:
@@ -179,6 +172,11 @@ class ContactSchedule:
         self.resident_index = {room: nh + i for i, room in enumerate(self.rooms)}
         self.n_agents = nh + len(self.rooms)
         self.agent_ids = tuple(self.hcp_ids) + tuple(self.rooms)
+        # outbreaks start in the first substitutable group
+        labels = g.hcps.group_labels
+        if not labels:
+            raise ConfigError("no substitutable HCP group to seed from")
+        self.seed_members = tuple(self.hcp_index[h] for h in g.hcps.members(labels[0]))
 
         ev_day: list[int] = []
         ev_t: list[int] = []
@@ -240,29 +238,22 @@ def build_contact_schedule(g: VisitGraph) -> ContactSchedule:
     return ContactSchedule(g)
 
 
-def _agent_bubble(sched: ContactSchedule, clustering: BubbleClustering, agent: int) -> int | None:
-    if agent < len(sched.hcp_ids):
-        return clustering.hcp_bubble.get(sched.hcp_ids[agent])
-    return clustering.location_bubble.get(sched.agent_ids[agent])
-
-
 def _run_replicate(
     sched: ContactSchedule,
     clustering: BubbleClustering | None,
-    disease: DiseaseParams,
-    casual: CasualContactModel,
+    cfg: SimConfig,
     horizon: int,
-    master_seed: int,
     rep: int,
-    seed_members: tuple[int, ...],
     only_seed: bool = False,
-    keep_log: bool = False,
 ) -> ReplicateResult:
-    ss = np.random.SeedSequence(master_seed, spawn_key=(rep,))
+    """Replicate rep of cfg on sched; only_seed lets no one but the seed transmit."""
+    ss = np.random.SeedSequence(cfg.seed, spawn_key=(rep,))
     k_pick, k_struct, k_coin = ss.spawn(3)
     rng_pick = np.random.default_rng(k_pick)
-    seed_agent = int(seed_members[int(rng_pick.integers(len(seed_members)))])
+    members = sched.seed_members
+    seed_agent = int(members[int(rng_pick.integers(len(members)))])
 
+    disease, casual = cfg.disease, cfg.casual
     nh = len(sched.hcp_ids)
     span = disease.infectious_span
     shed = np.array([shedding(d, disease) for d in range(span + 1)])
@@ -285,22 +276,17 @@ def _run_replicate(
     n_casual = sum(len(c) for c in casual_by_day)
     u_casual = rng_coin.random(n_casual) if n_casual else np.empty(0)
 
+    # each agent's bubble; None when unclustered, and for everyone without a clustering
+    bubble: list[int | None] = [None] * sched.n_agents
+    if clustering is not None:
+        bubble = ([clustering.hcp_bubble.get(h) for h in sched.hcp_ids]
+                  + [clustering.location_bubble.get(r) for r in sched.rooms])
     day_of = np.full(sched.n_agents, -1, dtype=np.int64)
     day_of[seed_agent] = 0
     infected: list[int] = [seed_agent]
-    seed_bubble = _agent_bubble(sched, clustering, seed_agent) if clustering else None
     leave = False
     reach = False
     log: list[TransmissionEvent] = []
-
-    def bubble_damp(a: int, b: int) -> float:
-        if clustering is None:
-            return 1.0
-        ba = _agent_bubble(sched, clustering, a)
-        bb = _agent_bubble(sched, clustering, b)
-        if ba is None or bb is None or ba == bb:
-            return 1.0
-        return scale
 
     def try_event(day: int, a: int, b: int, dur_min: float, u: float,
                   loc: str, t_s: int, damp_ok: bool) -> None:
@@ -315,19 +301,18 @@ def _run_replicate(
         else:
             return
         p = contact_infection_prob(dur_min, shed[day - int(day_of[src])], rho)
-        if damp_ok:
-            p *= bubble_damp(a, b)
+        ba, bb = bubble[a], bubble[b]
+        if damp_ok and ba is not None and bb is not None and ba != bb:
+            p *= scale
         if u >= p:
             return
         day_of[dst] = day
         infected.append(dst)
-        if clustering is not None:
-            tb = _agent_bubble(sched, clustering, dst)
-            if tb != seed_bubble:
-                leave = True
-                if tb is not None:
-                    reach = True
-        if keep_log:
+        if bubble[dst] != bubble[seed_agent]:
+            leave = True
+            if bubble[dst] is not None:
+                reach = True
+        if cfg.keep_transmission_log:
             log.append(TransmissionEvent(
                 day, t_s, sched.agent_ids[src], sched.agent_ids[dst], loc))
 
@@ -400,16 +385,6 @@ def run_replicates(job: Callable[[int], Any], n: int) -> list:
         return pool.map(_call_worker_job, range(n), chunksize=max(1, n // (workers * 8)))
 
 
-def _seed_member_indices(sched: ContactSchedule, seed_group: str | None) -> tuple[int, ...]:
-    labels = sched.graph.hcps.group_labels
-    if not labels:
-        raise ConfigError("no substitutable HCP group to seed from")
-    label = seed_group if seed_group is not None else labels[0]
-    if label not in labels:
-        raise ConfigError(f"seed group {label!r} not in roster groups {labels}")
-    return tuple(sched.hcp_index[h] for h in sched.graph.hcps.members(label))
-
-
 def _resolve(g: VisitGraph | RewiredGraph,
              clustering: BubbleClustering | None) -> tuple[VisitGraph, BubbleClustering | None]:
     if isinstance(g, RewiredGraph):
@@ -449,13 +424,9 @@ def simulate(
     if clustering is not None:
         check_coverage(graph, clustering)
     sched = build_contact_schedule(graph)
-    members = _seed_member_indices(sched, cfg.seed_group)
     horizon = cfg.horizon(graph)
-
-    results = run_replicates(
-        lambda rep: _run_replicate(sched, clustering, cfg.disease, cfg.casual, horizon,
-                                   cfg.seed, rep, members, False, cfg.keep_transmission_log),
-        cfg.replicates)
+    results = run_replicates(lambda rep: _run_replicate(sched, clustering, cfg, horizon, rep),
+                             cfg.replicates)
     k = clustering.k if clustering is not None else None
     return _aggregate(label, results, cfg.echo(label, graph, k))
 
@@ -477,11 +448,9 @@ def estimate_r0(g: VisitGraph, rho: float, cfg: SimConfig) -> R0Estimate:
     cfg = replace(cfg, disease=replace(cfg.disease, rho=rho))
     cfg.check()
     sched = build_contact_schedule(g)
-    members = _seed_member_indices(sched, cfg.seed_group)
     horizon = min(cfg.horizon(g), cfg.disease.infectious_span + 1)
     results = run_replicates(
-        lambda rep: _run_replicate(sched, None, cfg.disease, cfg.casual, horizon,
-                                   cfg.seed, rep, members, only_seed=True),
+        lambda rep: _run_replicate(sched, None, cfg, horizon, rep, only_seed=True),
         cfg.replicates)
     counts = np.array([r.infections_excl_seed for r in results], dtype=float)
     se = float(counts.std(ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0
@@ -495,14 +464,8 @@ class CalibrationResult:
     evaluations: int
 
 
-def calibrate_rho(
-    g: VisitGraph,
-    target_r0: float,
-    cfg: SimConfig,
-    tol: float = 0.05,
-    rho_cap: float = 10.0,
-) -> CalibrationResult:
-    """Bisection on rho until the R0 estimate is within tol of target."""
+def calibrate_rho(g: VisitGraph, target_r0: float, cfg: SimConfig) -> CalibrationResult:
+    """Bisection on rho until the R0 estimate is within R0_TOLERANCE of target."""
     check_nonnegative(target_r0=target_r0)
     if target_r0 == 0.0:
         return CalibrationResult(0.0, estimate_r0(g, 0.0, cfg), 1)
@@ -521,18 +484,18 @@ def calibrate_rho(
     hi = 1e-4
     while est(hi).mean < target_r0:
         hi *= 4.0
-        if hi > rho_cap:
-            top = est(rho_cap)
-            if top.mean < target_r0 * (1.0 - tol):
+        if hi > RHO_MAX:
+            top = est(RHO_MAX)
+            if top.mean < target_r0 * (1.0 - R0_TOLERANCE):
                 raise NotBracketedError(
-                    f"target R0 {target_r0:g} unreachable; at rho={rho_cap:g} "
+                    f"target R0 {target_r0:g} unreachable; at rho={RHO_MAX:g} "
                     f"the estimate is {top.mean:g}")
-            hi = rho_cap
+            hi = RHO_MAX
             break
     lo = 0.0
     best = history[-1]
     for _ in range(100):
-        if abs(best.mean - target_r0) <= tol * target_r0:
+        if abs(best.mean - target_r0) <= R0_TOLERANCE * target_r0:
             return CalibrationResult(best.rho, best, len(history))
         mid = 0.5 * (lo + hi)
         e = est(mid)
@@ -543,7 +506,7 @@ def calibrate_rho(
         else:
             hi = mid
     raise NotBracketedError(
-        f"bisection failed to land within {tol:.0%} of target {target_r0:g}; "
+        f"bisection failed to land within {R0_TOLERANCE:.0%} of target {target_r0:g}; "
         f"closest estimate {best.mean:g} at rho={best.rho:g}")
 
 
@@ -553,11 +516,7 @@ class ComparisonReport:
     diffs: tuple[dict, ...]  # vs the first summary
 
 
-def compare_runs(
-    summaries: list[SimSummary],
-    bootstrap_samples: int = 2000,
-    seed: int = 0,
-) -> ComparisonReport:
+def compare_runs(summaries: list[SimSummary], seed: int = 0) -> ComparisonReport:
     if not summaries:
         raise ConfigError("compare_runs needs at least one summary")
     rows = tuple(dict(label=s.label, **s.aggregates) for s in summaries)
@@ -568,11 +527,11 @@ def compare_runs(
         other = np.array(s.infection_counts(), dtype=float)
         point = float(other.mean() - ref.mean())
         if len(other) == len(ref):
-            idx = rng.integers(len(ref), size=(bootstrap_samples, len(ref)))
+            idx = rng.integers(len(ref), size=(BOOTSTRAP_DRAWS, len(ref)))
             samples = other[idx].mean(axis=1) - ref[idx].mean(axis=1)
         else:
-            ia = rng.integers(len(other), size=(bootstrap_samples, len(other)))
-            ib = rng.integers(len(ref), size=(bootstrap_samples, len(ref)))
+            ia = rng.integers(len(other), size=(BOOTSTRAP_DRAWS, len(other)))
+            ib = rng.integers(len(ref), size=(BOOTSTRAP_DRAWS, len(ref)))
             samples = other[ia].mean(axis=1) - ref[ib].mean(axis=1)
         diffs.append({
             "label": s.label,

@@ -9,9 +9,10 @@ Variables, all binary:
 
 Objective: minimize the total weight of separated pairs.
 
-The feasibility rules live here once: `balanced` gives the size floor and
-ceiling, `ClusterInstance.too_far` the diameter cap and
-`ClusterInstance.load_need` the load-gap cap, all with the tolerance TOL.
+The feasibility rules live here once: `check_k` bounds the bubble count,
+`balanced` gives the size floor and ceiling, `ClusterInstance.too_far`
+the diameter cap and `ClusterInstance.load_need` the load-gap cap, the
+caps with the tolerance TOL.
 The search, brute force, verification and the exported rows read them.
 """
 
@@ -29,6 +30,17 @@ from ..weights import WeightMatrix
 
 # absolute tolerance of every cap and objective comparison in the optimizer
 TOL = 1e-9
+
+
+def check_k(k: int, rooms: int, groups: Iterable[tuple[str, int]]) -> None:
+    """k bubbles need k >= 1, and no more than the rooms or any (label, size) HCP group."""
+    if k < 1:
+        raise InvalidKError(f"k={k} must be at least 1")
+    if k > rooms:
+        raise InvalidKError(f"k={k} exceeds the {rooms} substitutable locations")
+    for lab, size in groups:
+        if k > size:
+            raise InvalidKError(f"k={k} exceeds group {lab!r} of size {size}")
 
 
 def balanced(count: int, k: int) -> tuple[int, int]:
@@ -58,15 +70,8 @@ class ClusterInstance:
 
     def check(self) -> None:
         check_nonnegative(d_star_m=self.d_star_m, y_star_h=self.y_star_h)
-        n = len(self.locations)
-        if self.k < 1:
-            raise InvalidKError(f"k={self.k} must be at least 1")
-        if self.k > n:
-            raise InvalidKError(f"k={self.k} exceeds the {n} substitutable locations")
-        for lab in self.groups:
-            size = len(self.hcps.members(lab))
-            if self.k > size:
-                raise InvalidKError(f"k={self.k} exceeds group {lab!r} of size {size}")
+        check_k(self.k, len(self.locations),
+                [(lab, len(self.hcps.members(lab))) for lab in self.groups])
         if math.isfinite(self.d_star_m) and self.dist is None:
             raise ConfigError("finite diameter cap requires a distance matrix")
         if math.isfinite(self.y_star_h):

@@ -30,7 +30,6 @@ from .episim import (
     SimSummary,
     _aggregate,
     _run_replicate,
-    _seed_member_indices,
     build_contact_schedule,
     calibrate_rho,
     compare_runs,
@@ -53,6 +52,7 @@ from .model import (
     write_mobility_log,
 )
 from .optimizer import ClusterInstance, SolveResult, build_model, solve, verify_clustering
+from .optimizer.model import check_k
 from .rewiring import CostReport, compute_costs, random_clustering, rewire, write_cost_csv
 from .spatial import (DistanceMatrix, load_spatial_graph, save_spatial_graph,
                       shortest_path_metric)
@@ -138,6 +138,9 @@ class ExperimentConfig:
         for replicates in (self.replicates, self.calibration_replicates):
             self.sim_config(rho, replicates, self.seed).check()
         check_z(z_from_rho(rho, self.unit_s))
+        if self.facility is not None:  # real logs are bounded once they are read
+            for k in self.k_list:
+                check_k(k, self.facility.rooms, self.facility.hcp_groups)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -208,13 +211,11 @@ def _arm_job(arm: _Arm, rep: int):
         rw_seed = derive_seed(arm.master_seed, _NS_REWIRE_CORN, k, rep)
     rw = rewire(graph, clustering, seed=rw_seed,
                 keep_same_bubble_hcp=arm.keep_same_bubble_hcp)
-    sched = build_contact_schedule(rw.graph)
-    members = _seed_member_indices(sched, None)
-    result = _run_replicate(sched, clustering, arm.sim.disease, arm.sim.casual,
-                            arm.sim.horizon(graph), arm.sim.seed, rep, members)
+    result = _run_replicate(build_contact_schedule(rw.graph), clustering, arm.sim,
+                            arm.sim.horizon(graph), rep)
     if rep >= arm.cost_rewirings:
         return result, None, None
-    costs = compute_costs(graph, rw, arm.dist, clustering=clustering)
+    costs = compute_costs(graph, rw, arm.dist)
     row = {
         "excess_load_mean_h_per_day": statistics.mean(costs.excess_load.values()),
         "unmet_demand_mean_h_per_day": statistics.mean(costs.unmet_demand.values()),

@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import BubbleClustering, canonicalize
-from .errors import ClusteringMismatchError, InvalidKError
+from .errors import ClusteringMismatchError
 from .model import HcpRoster, Visit, VisitGraph, compute_loads_demands
+from .optimizer.model import check_k
 from .spatial import DistanceMatrix
 
 
@@ -139,12 +140,7 @@ def random_clustering(
     seed: int,
 ) -> BubbleClustering:
     """Uniform balanced baseline clustering (sizes differ by at most one)."""
-    n = len(locations)
-    if not 1 <= k <= n:
-        raise InvalidKError(f"k={k} outside 1..{n}")
-    for lab in hcps.group_labels:
-        if k > len(hcps.members(lab)):
-            raise InvalidKError(f"k={k} exceeds group {lab!r}")
+    check_k(k, len(locations), [(lab, len(hcps.members(lab))) for lab in hcps.group_labels])
     rng = np.random.default_rng(seed)
 
     def deal(items: tuple[str, ...]) -> dict[str, int]:
@@ -197,14 +193,12 @@ def compute_costs(
     base: VisitGraph,
     rewired: RewiredGraph | VisitGraph,
     dist: DistanceMatrix,
-    clustering: BubbleClustering | None = None,
 ) -> CostReport:
+    """Costs of rewired against base; bubble diameters need a RewiredGraph's clustering."""
     if isinstance(rewired, RewiredGraph):
-        if clustering is None:
-            clustering = rewired.clustering
-        rg = rewired.graph
+        rg, clustering = rewired.graph, rewired.clustering
     else:
-        rg = rewired
+        rg, clustering = rewired, None
     days = base.day_count
 
     def hours_per_base_day(g: VisitGraph) -> tuple[dict[str, float], dict[str, float]]:

@@ -5,12 +5,14 @@ import csv
 import io
 import json
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corn.cli
 from corn.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -84,6 +86,9 @@ BAD_MODEL = [["--cross-bubble-scale", "2"], ["--incubation-days", "0"],
              ["--recovery-days", "0"], ["--horizon-days", "0"],
              ["--casual-duration-min", "nan"], ["--casual-contacts-per-day", "-1"],
              ["--target-r0", "nan"]]
+
+# K above the tiny spec's 4 nurses or 6 rooms
+BAD_K = [["--k", "5"], ["--k", "7"]]
 
 
 def input_args(d):
@@ -323,13 +328,13 @@ class TestExperiment:
         assert rc == EXIT_USAGE
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flags", BAD_CAPS + BAD_MODEL)
+    @pytest.mark.parametrize("flags", BAD_CAPS + BAD_MODEL + BAD_K)
     def test_bad_caps_fail_before_calibration(self, tmp_path, capsys, flags):
         spec_path = tmp_path / "spec.json"
         tiny_spec().to_json(spec_path)
         out = tmp_path / "z"
         rc = main(["experiment", "--facility", str(spec_path), "--target-r0", "2.0",
-                   *flags, "--out", str(out)])
+                   "--k", "2", *flags, "--out", str(out)])
         assert rc == EXIT_USAGE
         assert not out.exists()
         capsys.readouterr()
@@ -362,6 +367,38 @@ class TestExperiment:
                    "--rho", "0.001", "--out", str(tmp_path / "y")])
         assert rc == EXIT_USAGE
         capsys.readouterr()
+
+
+# (command, the call that does its work, the command's own flags)
+_WORK_CALLS = [
+    ("synth", "generate_mobility", []),
+    ("weights", "weight_matrix", ["--rho", "0.001"]),
+    ("cluster", "solve", ["--rho", "0.001", "--k", "2"]),
+    ("export-model", "build_model", ["--rho", "0.001", "--k", "2"]),
+    ("simulate", "simulate", ["--rho", "0.001", "--replicates", "2"]),
+]
+
+
+@pytest.mark.parametrize("command,work,flags", _WORK_CALLS)
+def test_manifest_starts_before_the_work(inputs, tmp_path, monkeypatch, capsys,
+                                         command, work, flags):
+    called = []
+    real = getattr(corn.cli, work)
+
+    def timed(*args, **kwargs):
+        called.append(datetime.now(timezone.utc))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corn.cli, work, timed)
+    spec_path = tmp_path / "spec.json"
+    tiny_spec().to_json(spec_path)
+    source = ["--spec", str(spec_path)] if command == "synth" else input_args(inputs)
+    out = tmp_path / "out"
+    assert main([command, *source, *flags, "--out", str(out)]) == EXIT_OK
+    m = json.loads((out / "manifest.json").read_text())
+    created = datetime.fromisoformat(m["created_utc"])
+    assert called and created <= called[0] <= datetime.fromisoformat(m["finished_utc"])
+    capsys.readouterr()
 
 
 _JSON = st.recursive(

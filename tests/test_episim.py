@@ -71,11 +71,6 @@ class TestShedding:
         assert ys[:7] == sorted(ys[:7])
         assert ys[6:] == sorted(ys[6:], reverse=True)
 
-    def test_custom_rates(self):
-        p = disease(1.0, ramp_up_rate=0.7, ramp_down_rate=0.3)
-        assert shedding(5, p) == pytest.approx(math.exp(-0.7))
-        assert shedding(7, p) == pytest.approx(math.exp(-0.3))
-
     def test_negative_day_rejected(self):
         with pytest.raises(ConfigError):
             shedding(-1, disease(1.0))
@@ -112,11 +107,7 @@ class TestParamChecks:
         dict(rho=0.1, incubation_days=0),
         dict(rho=0.1, recovery_days=0),
         dict(rho=0.1, cross_bubble_scale=1.5),
-        dict(rho=0.1, ramp_up_rate=0.0),
-        dict(rho=0.1, ramp_down_rate=-1.0),
         dict(rho=math.nan),
-        dict(rho=0.1, ramp_up_rate=math.nan),
-        dict(rho=0.1, ramp_down_rate=math.nan),
     ])
     def test_bad_disease(self, kw):
         with pytest.raises(ConfigError):
@@ -215,16 +206,20 @@ class TestSimulate:
         assert simulate(g, c, cfg) == simulate(g, c, cfg)
 
     def test_seed_group_selection(self):
-        g, _ = two_bubble_graph()
-        cfg = SimConfig(disease=disease(0.0), replicates=10, casual=NO_CASUAL,
-                        seed_group="b")
+        # two members in the first group "a", one in "b": seeds come from "a" only
+        rows = [("p1", "la", 0, 3600), ("p3", "la", DAY, DAY + 3600),
+                ("p2", "lb", 0, 3600)]
+        g = make_graph(rows, {"p1": "a", "p2": "b", "p3": "a"}, {"la": "s", "lb": "s"})
+        cfg = SimConfig(disease=disease(0.0), replicates=40, casual=NO_CASUAL)
         s = simulate(g, None, cfg)
-        assert all(r.seed_agent == "p2" for r in s.results)
+        assert {r.seed_agent for r in s.results} == {"p1", "p3"}
 
     def test_unknown_seed_group(self):
-        cfg = SimConfig(disease=disease(0.0), replicates=1, seed_group="nope")
-        with pytest.raises(ConfigError):
-            simulate(solo_graph(), None, cfg)
+        # a roster without substitutable HCPs has no group to seed from
+        g = make_graph([("p1", "la", 0, 3600)], {"p1": "ns"}, {"la": "s"})
+        cfg = SimConfig(disease=disease(0.0), replicates=1)
+        with pytest.raises(ConfigError, match="no substitutable HCP group"):
+            simulate(g, None, cfg)
 
     def test_clustering_coverage_checked(self):
         g, _ = two_bubble_graph()
@@ -368,7 +363,7 @@ class TestCompare:
     def test_unpaired_lengths(self):
         a = fake_summary("a", [1, 2, 3, 4])
         b = fake_summary("b", [3, 3, 3])
-        d = compare_runs([a, b], bootstrap_samples=500, seed=1).diffs[0]
+        d = compare_runs([a, b], seed=1).diffs[0]
         assert d["paired"] is False
         assert d["mean_diff"] == pytest.approx(0.5)
         assert d["ci95_low"] <= d["mean_diff"] <= d["ci95_high"]

@@ -110,7 +110,7 @@ class TestCostRows:
                 c = random_clustering(g.hcps, g.locations.substitutable, k,
                                       seed=derive_seed(CFG.seed, NS_CLUSTER_RANDOM, k, r))
             rw = rewire(g, c, seed=derive_seed(CFG.seed, NS_REWIRE[method], k, r))
-            rep = compute_costs(g, rw, dist, clustering=c)
+            rep = compute_costs(g, rw, dist)
             want = {
                 "excess_load_mean_h_per_day": np.mean(list(rep.excess_load.values())),
                 "unmet_demand_mean_h_per_day": np.mean(list(rep.unmet_demand.values())),

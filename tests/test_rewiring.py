@@ -184,8 +184,7 @@ class TestCosts:
     def test_bubble_diameters_reported(self):
         g = golden_graph()
         rw = rewire(g, golden_clustering(), seed=0)
-        rep = compute_costs(g, rw, flat_metric(["l1", "l2", "l3", "l4"], d=7.5),
-                            clustering=golden_clustering())
+        rep = compute_costs(g, rw, flat_metric(["l1", "l2", "l3", "l4"], d=7.5))
         assert rep.bubble_diameters == {1: 7.5, 2: 7.5}
 
     def test_csv_export(self, tmp_path):
