@@ -9,6 +9,7 @@ operational cost of doing so.
 from .clustering import BubbleClustering, load_clustering, save_clustering
 from .episim import (
     CasualContactModel,
+    ContactSchedule,
     DiseaseParams,
     SimConfig,
     SimSummary,
@@ -65,6 +66,7 @@ __all__ = [
     "ClusterInstance",
     "ClusteringMismatchError",
     "ConfigError",
+    "ContactSchedule",
     "CornError",
     "DiseaseParams",
     "DisconnectedError",

@@ -2,28 +2,39 @@
 
 Dynamics are day-granular: the infectious set is fixed at the start of
 each day, shedding starts the day after infection, and recovery removes
-an agent after incubation + recovery days. Within a day, contact events
-are processed in start-time order, but because newly infected agents
-cannot transmit on their infection day, the set of new infections per day
-does not depend on that order.
+an agent after incubation + recovery days. An agent infected today cannot
+transmit today, so a day's new infections are the agents susceptible at
+its start with at least one transmitting contact from an infectious agent.
+The kernel therefore handles a day as one batch of array operations: it
+takes the day's scheduled contacts and then its casual ones, keeps those
+with one infectious and one susceptible end, and compares each contact's
+infection probability with its predrawn coin. With only_seed (R0
+estimation) the seed alone transmits, and all of its days form one batch.
+
+Transmission log rule: each newly infected agent gets one entry, from its
+first transmitting contact, counting contacts in day order and, within a
+day, scheduled contacts by start time before casual ones. Entries are in
+that same order.
 
 Each replicate derives three RNG streams from (master seed, replicate):
 seed choice, contact structure (casual contacts), and transmission coins.
-Coins are predrawn per scheduled contact event, which couples runs across
-infectivity values: raising rho can only turn misses into hits for a
-fixed seed agent, which estimate_r0 relies on during calibration.
+Coins are predrawn per contact event, scheduled then casual, which couples
+runs across infectivity values: raising rho can only turn misses into hits
+for a fixed seed agent, which estimate_r0 relies on during calibration.
 
 Agents are the roster's HCPs plus one static resident per substitutable
 room, named by the room. Every outbreak is seeded in a member of the
 roster's first substitutable group. Casual HCP-HCP contacts model mixing
-that the visit log does not record. When a clustering is supplied,
-contacts between HCPs placed in different bubbles are damped by
+that the visit log does not record: each HCP makes a Poisson number of
+them a day, each with a uniformly drawn other HCP. When a clustering is
+supplied, contacts between HCPs placed in different bubbles are damped by
 cross_bubble_scale; contacts involving unclustered HCPs are kept at full
 strength.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing
@@ -226,16 +237,18 @@ class ContactSchedule:
         self.ev_hh = np.array([ev_hh[i] for i in order], dtype=bool)
         self.n_events = len(order)
 
-        self.by_day_agent: dict[int, dict[int, list[int]]] = {}
-        for i in range(self.n_events):
-            day = int(self.ev_day[i])
-            slot = self.by_day_agent.setdefault(day, {})
-            slot.setdefault(int(self.ev_a[i]), []).append(i)
-            slot.setdefault(int(self.ev_b[i]), []).append(i)
-
 
 def build_contact_schedule(g: VisitGraph) -> ContactSchedule:
     return ContactSchedule(g)
+
+
+@functools.lru_cache(maxsize=8)
+def _shedding_curve(incubation_days: int, recovery_days: int) -> np.ndarray:
+    """shedding() on each day from infection to the end of the infectious span."""
+    p = DiseaseParams(rho=0.0, incubation_days=incubation_days, recovery_days=recovery_days)
+    curve = np.array([shedding(d, p) for d in range(p.infectious_span + 1)])
+    curve.flags.writeable = False
+    return curve
 
 
 def _run_replicate(
@@ -256,92 +269,118 @@ def _run_replicate(
     disease, casual = cfg.disease, cfg.casual
     nh = len(sched.hcp_ids)
     span = disease.infectious_span
-    shed = np.array([shedding(d, disease) for d in range(span + 1)])
+    shed = _shedding_curve(disease.incubation_days, disease.recovery_days)
     rho = disease.rho
     scale = disease.cross_bubble_scale
 
+    # casual contacts in (day, HCP) order: a Poisson count each, every one with a uniform other HCP
     rng_struct = np.random.default_rng(k_struct)
-    casual_by_day: list[list[tuple[int, int]]] = [[] for _ in range(horizon)]
+    cas_day = cas_a = cas_b = np.empty(0, dtype=np.int64)
     if casual.contacts_per_day > 0 and nh >= 2:
         counts = rng_struct.poisson(casual.contacts_per_day, size=(horizon, nh))
-        for d in range(horizon):
-            for i in range(nh):
-                for _ in range(int(counts[d, i])):
-                    j = int(rng_struct.integers(nh - 1))
-                    if j >= i:
-                        j += 1
-                    casual_by_day[d].append((i, j))
+        cas_day, cas_a = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()), nh)
+        j = rng_struct.integers(nh - 1, size=len(cas_a))
+        cas_b = j + (j >= cas_a)
+    cas_dur = np.full(len(cas_a), casual.duration_min)
+    cas_hh = np.ones(len(cas_a), dtype=bool)
     rng_coin = np.random.default_rng(k_coin)
-    u_sched = rng_coin.random(sched.n_events) if sched.n_events else np.empty(0)
-    n_casual = sum(len(c) for c in casual_by_day)
-    u_casual = rng_coin.random(n_casual) if n_casual else np.empty(0)
+    u_sched = rng_coin.random(sched.n_events)
+    u_casual = rng_coin.random(len(cas_a))
 
-    # each agent's bubble; None when unclustered, and for everyone without a clustering
-    bubble: list[int | None] = [None] * sched.n_agents
+    days = np.arange(horizon + 1)
+    ev_off = np.searchsorted(sched.ev_day, days)
+    cas_off = np.searchsorted(cas_day, days)
+
+    # each agent's bubble; 0 when unclustered, and for everyone without a clustering
+    bub = np.zeros(sched.n_agents, dtype=np.int64)
     if clustering is not None:
-        bubble = ([clustering.hcp_bubble.get(h) for h in sched.hcp_ids]
-                  + [clustering.location_bubble.get(r) for r in sched.rooms])
+        bub[:] = ([clustering.hcp_bubble.get(h, 0) for h in sched.hcp_ids]
+                  + [clustering.location_bubble.get(r, 0) for r in sched.rooms])
+    damped = clustering is not None and scale != 1.0
     day_of = np.full(sched.n_agents, -1, dtype=np.int64)
     day_of[seed_agent] = 0
-    infected: list[int] = [seed_agent]
-    leave = False
-    reach = False
+    state = np.ones(sched.n_agents, dtype=np.int8)  # 1 susceptible, 2 infectious, 0 neither
+    state[seed_agent] = 0
+    empty = np.empty(0, dtype=np.int64)
     log: list[TransmissionEvent] = []
 
-    def try_event(day: int, a: int, b: int, dur_min: float, u: float,
-                  loc: str, t_s: int, damp_ok: bool) -> None:
-        nonlocal leave, reach
-        sa, sb = int(day_of[a]), int(day_of[b])
-        inf_a = sa >= 0 and 1 <= day - sa <= span and (not only_seed or sa == 0)
-        inf_b = sb >= 0 and 1 <= day - sb <= span and (not only_seed or sb == 0)
-        if inf_a and sb < 0:
-            src, dst = a, b
-        elif inf_b and sa < 0:
-            src, dst = b, a
-        else:
-            return
-        p = contact_infection_prob(dur_min, shed[day - int(day_of[src])], rho)
-        ba, bb = bubble[a], bubble[b]
-        if damp_ok and ba is not None and bb is not None and ba != bb:
-            p *= scale
-        if u >= p:
-            return
-        day_of[dst] = day
-        infected.append(dst)
-        if bubble[dst] != bubble[seed_agent]:
-            leave = True
-            if bubble[dst] is not None:
-                reach = True
+    def hits(lo, hi, ev_a, ev_b, ev_day, ev_dur, ev_hh, u):
+        """Contacts in [lo, hi) from an infectious to a susceptible agent that transmit."""
+        a, b = ev_a[lo:hi], ev_b[lo:hi]
+        sa = state[a]
+        live = (sa * state[b] == 2).nonzero()[0]
+        if not len(live):
+            return empty, empty, empty
+        a, b = a[live], b[live]
+        src = np.where(sa[live] == 2, a, b)
+        dst = a + b - src
+        idx = live + lo
+        p = np.minimum(1.0, rho * ev_dur[idx] * shed[ev_day[idx] - day_of[src]])
+        if damped:
+            bs, bd = bub[src], bub[dst]
+            p[ev_hh[idx] & (bs != bd) & (bs * bd > 0)] *= scale
+        ok = u[idx] < p
+        return idx[ok], src[ok], dst[ok]
+
+    def spread(d0: int, d1: int) -> np.ndarray:
+        """Infect each target of a transmitting contact in days [d0, d1) at its first one.
+
+        Contacts count in day order, a day's scheduled ones before its casual
+        ones. Returns the newly infected agents in that order.
+        """
+        si, s_src, s_dst = hits(ev_off[d0], ev_off[d1], sched.ev_a, sched.ev_b, sched.ev_day,
+                                sched.ev_dur, sched.ev_hh, u_sched)
+        ci, c_src, c_dst = hits(cas_off[d0], cas_off[d1], cas_a, cas_b, cas_day,
+                                cas_dur, cas_hh, u_casual)
+        if not len(si) and not len(ci):
+            return empty
+        day = np.concatenate((sched.ev_day[si], cas_day[ci]))
+        order = np.argsort(day, kind="stable")
+        dst = np.concatenate((s_dst, c_dst))
+        _, first = np.unique(dst[order], return_index=True)
+        first = order[np.sort(first)]
+        new = dst[first]
+        day_of[new] = day[first]
+        state[new] = 0
         if cfg.keep_transmission_log:
-            log.append(TransmissionEvent(
-                day, t_s, sched.agent_ids[src], sched.agent_ids[dst], loc))
+            src = np.concatenate((s_src, c_src))
+            for i in first.tolist():
+                d = int(day[i])
+                if i < len(si):
+                    t_s, loc = int(sched.ev_t[si[i]]), sched.ev_loc[si[i]]
+                else:
+                    t_s, loc = d * SECONDS_PER_DAY, CASUAL_LOCATION
+                log.append(TransmissionEvent(
+                    d, t_s, sched.agent_ids[src[i]], sched.agent_ids[dst[i]], loc))
+        return new
 
-    base = 0  # casual contacts of the days before this one
-    for day in range(horizon):
-        slot = sched.by_day_agent.get(day, {})
-        cand: set[int] = set()
-        for a in infected:
-            since = day - int(day_of[a])
-            if 1 <= since <= span and (not only_seed or day_of[a] == 0):
-                cand.update(slot.get(a, ()))
-        for idx in sorted(cand):  # events are pre-sorted by time
-            try_event(day, int(sched.ev_a[idx]), int(sched.ev_b[idx]),
-                      float(sched.ev_dur[idx]), float(u_sched[idx]),
-                      sched.ev_loc[idx], int(sched.ev_t[idx]),
-                      bool(sched.ev_hh[idx]))
-        for ci, (a, b) in enumerate(casual_by_day[day]):
-            try_event(day, a, b, casual.duration_min, float(u_casual[base + ci]),
-                      CASUAL_LOCATION, day * SECONDS_PER_DAY, True)
-        base += len(casual_by_day[day])
+    if only_seed:  # the seed alone transmits, so all of its days make one batch
+        state[seed_agent] = 2
+        spread(1, min(span + 1, horizon))
+    else:  # the infectious set is fixed for a day, so each day is one batch
+        waves = [np.array([seed_agent])]  # the agents infected on each day
+        last = 0  # the latest day with an infection
+        for day in range(1, horizon):
+            if day > last + span:
+                break  # no one is infectious now or later
+            state[waves[day - 1]] = 2  # yesterday's infections shed from today
+            if day > span:
+                state[waves[day - span - 1]] = 0  # and the earliest ones have recovered
+            waves.append(spread(day, day + 1))
+            if len(waves[-1]):
+                last = day
 
-    total = int((day_of >= 0).sum())
+    infected = day_of >= 0
+    total = int(infected.sum())
+    infected[seed_agent] = False
+    left = bub[infected] != bub[seed_agent]
     return ReplicateResult(
         replicate=rep,
         seed_agent=sched.agent_ids[seed_agent],
         infections=total,
         infections_excl_seed=total - 1,
-        leave=leave if clustering is not None else None,
-        reach=reach if clustering is not None else None,
+        leave=bool(left.any()) if clustering is not None else None,
+        reach=bool((left & (bub[infected] > 0)).any()) if clustering is not None else None,
         log=tuple(log),
     )
 
@@ -443,12 +482,11 @@ class R0Estimate:
         return (self.mean - 1.96 * self.se, self.mean + 1.96 * self.se)
 
 
-def estimate_r0(g: VisitGraph, rho: float, cfg: SimConfig) -> R0Estimate:
+def estimate_r0(sched: ContactSchedule, rho: float, cfg: SimConfig) -> R0Estimate:
     """Mean secondary infections of the seed with all others non-transmitting."""
     cfg = replace(cfg, disease=replace(cfg.disease, rho=rho))
     cfg.check()
-    sched = build_contact_schedule(g)
-    horizon = min(cfg.horizon(g), cfg.disease.infectious_span + 1)
+    horizon = min(cfg.horizon(sched.graph), cfg.disease.infectious_span + 1)
     results = run_replicates(
         lambda rep: _run_replicate(sched, None, cfg, horizon, rep, only_seed=True),
         cfg.replicates)
@@ -467,13 +505,14 @@ class CalibrationResult:
 def calibrate_rho(g: VisitGraph, target_r0: float, cfg: SimConfig) -> CalibrationResult:
     """Bisection on rho until the R0 estimate is within R0_TOLERANCE of target."""
     check_nonnegative(target_r0=target_r0)
+    sched = build_contact_schedule(g)  # every evaluation replays the one schedule
     if target_r0 == 0.0:
-        return CalibrationResult(0.0, estimate_r0(g, 0.0, cfg), 1)
+        return CalibrationResult(0.0, estimate_r0(sched, 0.0, cfg), 1)
 
     history: list[R0Estimate] = []
 
     def est(rho: float) -> R0Estimate:
-        e = estimate_r0(g, rho, cfg)
+        e = estimate_r0(sched, rho, cfg)
         for prev in history:
             if (rho - prev.rho) * (e.mean - prev.mean) < -1e-12:
                 raise NotBracketedError(

@@ -138,7 +138,7 @@ class ExperimentConfig:
         for replicates in (self.replicates, self.calibration_replicates):
             self.sim_config(rho, replicates, self.seed).check()
         check_z(z_from_rho(rho, self.unit_s))
-        if self.facility is not None:  # real logs are bounded once they are read
+        if self.facility is not None:  # run_experiment bounds real logs once it reads them
             for k in self.k_list:
                 check_k(k, self.facility.rooms, self.facility.hcp_groups)
 
@@ -269,13 +269,6 @@ def resolve_rho(graph: VisitGraph, cfg: ExperimentConfig) -> tuple[float, dict]:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
     cfg.check()
-    out = Path(out_dir)
-    reports = out / "reports"
-    inputs_dir = reports / "inputs"
-    sims_dir = reports / "sims"
-    for d in (inputs_dir, sims_dir):
-        d.mkdir(parents=True, exist_ok=True)
-
     if cfg.facility is not None:
         facility = generate_facility(cfg.facility)
         spatial, hcps, locations = facility
@@ -283,12 +276,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         problems = validate(graph)
         if problems:
             raise ValidationError(f"synthetic inputs failed validation: {problems[0]}")
-        cfg.facility.to_json(inputs_dir / "facility.json")
     else:
         hcps = load_hcp_roster(cfg.inputs["hcps"])
         locations = load_location_roster(cfg.inputs["locations"])
         graph = load_mobility_log(cfg.inputs["visits"], hcps, locations)
         spatial = load_spatial_graph(cfg.inputs["spatial"])
+        groups = [(lab, len(hcps.members(lab))) for lab in hcps.group_labels]
+        for k in cfg.k_list:
+            check_k(k, len(locations.substitutable), groups)
+
+    # nothing is written before the inputs are read and every K is checked against them
+    out = Path(out_dir)
+    reports = out / "reports"
+    inputs_dir = reports / "inputs"
+    sims_dir = reports / "sims"
+    for d in (inputs_dir, sims_dir):
+        d.mkdir(parents=True, exist_ok=True)
+    if cfg.facility is not None:
+        cfg.facility.to_json(inputs_dir / "facility.json")
 
     # canonical re-serialization; the report must not depend on input formatting
     write_hcp_roster(hcps, inputs_dir / "hcps.csv")

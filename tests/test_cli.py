@@ -349,6 +349,14 @@ class TestExperiment:
         assert not out.exists()
         assert "z must be" in capsys.readouterr().err
 
+    def test_k_beyond_real_rosters_fails_before_output(self, inputs, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["experiment", *input_args(inputs), "--spatial", str(inputs / "spatial.json"),
+                   "--k", "100", "--rho", "0.002", "--replicates", "1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+        assert "k=100" in capsys.readouterr().err
+
     def test_defaults_are_the_dataclasses(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         tiny_spec().to_json(spec_path)

@@ -14,6 +14,7 @@ from corn.clustering import BubbleClustering
 from corn.episim import (
     CasualContactModel,
     CalibrationResult,
+    ContactSchedule,
     DiseaseParams,
     ReplicateResult,
     SimConfig,
@@ -252,20 +253,20 @@ class TestSimulate:
 class TestR0:
     def test_zero_rho(self):
         cfg = SimConfig(disease=disease(0.0), replicates=20, casual=NO_CASUAL)
-        est = estimate_r0(solo_graph(), 0.0, cfg)
+        est = estimate_r0(ContactSchedule(solo_graph()), 0.0, cfg)
         assert est.mean == 0.0 and est.se == 0.0
         assert est.ci95 == (0.0, 0.0)
 
     def test_saturated(self):
         cfg = SimConfig(disease=disease(0.0), replicates=20, casual=NO_CASUAL)
-        est = estimate_r0(solo_graph(), 1000.0, cfg)
+        est = estimate_r0(ContactSchedule(solo_graph()), 1000.0, cfg)
         assert est.mean == 1.0
 
     def test_monotone_in_rho(self):
         # common random numbers couple the runs, so means cannot cross
         cfg = SimConfig(disease=disease(0.0), replicates=50)
         g = solo_graph()
-        means = [estimate_r0(g, r, cfg).mean for r in (0.01, 0.1, 1.0)]
+        means = [estimate_r0(ContactSchedule(g), r, cfg).mean for r in (0.01, 0.1, 1.0)]
         assert means == sorted(means)
 
     @pytest.mark.parametrize("casual", [CasualContactModel(duration_min=math.nan),
@@ -273,11 +274,11 @@ class TestR0:
     def test_bad_casual_rejected(self, casual):
         cfg = SimConfig(disease=disease(0.0), replicates=20, casual=casual)
         with pytest.raises(ConfigError):
-            estimate_r0(solo_graph(), 0.1, cfg)
+            estimate_r0(ContactSchedule(solo_graph()), 0.1, cfg)
 
     def test_ci_brackets_mean(self):
         cfg = SimConfig(disease=disease(0.0), replicates=80)
-        est = estimate_r0(solo_graph(), 0.2, cfg)
+        est = estimate_r0(ContactSchedule(solo_graph()), 0.2, cfg)
         lo, hi = est.ci95
         assert lo <= est.mean <= hi
 
@@ -319,16 +320,18 @@ class TestCalibration:
     def test_each_evaluation_runs_once(self, monkeypatch):
         calls = []
 
-        def counted(g, rho, cfg):
-            calls.append(rho)
-            return estimate_r0(g, rho, cfg)
+        def counted(sched, rho, cfg):
+            calls.append((sched, rho))
+            return estimate_r0(sched, rho, cfg)
 
         monkeypatch.setattr(corn.episim, "estimate_r0", counted)
         cfg = SimConfig(disease=disease(0.0), replicates=200, casual=NO_CASUAL)
         cal = calibrate_rho(solo_graph(), 0.5, cfg)
         assert cal.evaluations > 2
         assert len(calls) == cal.evaluations
-        assert cal.estimate == estimate_r0(solo_graph(), cal.rho, cfg)
+        # the one schedule of the graph serves every evaluation
+        assert len({id(sched) for sched, _ in calls}) == 1
+        assert cal.estimate == estimate_r0(ContactSchedule(solo_graph()), cal.rho, cfg)
 
 
 def fake_summary(label, counts):

@@ -1,0 +1,377 @@
+"""The outbreak kernel against pinned outputs and an exact final-size oracle.
+
+The pinned outputs in data/pinned_replicates.json were recorded from the
+scalar (one event at a time) kernel that the array kernel replaced. Any
+change to the random draws a replicate makes, or to the order of its
+transmission log, shows up here. Rewrite the file only for a change that
+is meant to move every replicate:
+
+    PYTHONPATH=src python -m tests.test_outbreak_kernel
+
+scalar_replicate keeps that scalar kernel as the reference: it reproduces
+the recording, and the array kernel must equal it on other instances.
+
+The oracle needs no random numbers: it walks every infection-day vector of
+a graph of five agents and compares the final-size distribution with
+simulated replicates.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from corn.clustering import BubbleClustering
+from corn.episim import (
+    CASUAL_LOCATION,
+    CasualContactModel,
+    ContactSchedule,
+    DiseaseParams,
+    ReplicateResult,
+    SimConfig,
+    TransmissionEvent,
+    _run_replicate,
+    contact_infection_prob,
+    shedding,
+    simulate,
+)
+from corn.model import SECONDS_PER_DAY
+from corn.rewiring import random_clustering
+from corn.synth import FacilitySpec, generate_facility, generate_mobility, zone_clustering
+
+from .conftest import make_graph
+
+PINNED = Path(__file__).parent / "data" / "pinned_replicates.json"
+PINNED_REPLICATES = 30
+
+
+# -- pinned outputs -------------------------------------------------------------
+
+def _pinned_instance(days: int = 8, seed: int = 3):
+    """The 6-room facility of the CLI tests (seed 3), here over eight days, and its zones."""
+    spec = FacilitySpec(
+        rooms=6, hallway_nodes=3, hcp_groups=(("n", 4),), non_substitutable=1,
+        corridor_length_m=20.0, shift_length_h=8.0, visits_per_hcp_per_day=6,
+        visit_duration_min=15.0, locality=0.6, days=days, seed=seed, zones=2,
+    )
+    facility = generate_facility(spec)
+    return ContactSchedule(generate_mobility(facility, spec)), zone_clustering(spec, facility[1])
+
+
+def scalar_replicate(sched, clustering, cfg: SimConfig, horizon: int, rep: int,
+                     only_seed: bool = False) -> ReplicateResult:
+    """The kernel the array kernel replaced: one contact at a time, in order."""
+    k_pick, k_struct, k_coin = np.random.SeedSequence(cfg.seed, spawn_key=(rep,)).spawn(3)
+    members = sched.seed_members
+    seed = int(members[int(np.random.default_rng(k_pick).integers(len(members)))])
+    d, casual = cfg.disease, cfg.casual
+    nh = len(sched.hcp_ids)
+    rng_struct = np.random.default_rng(k_struct)
+    contacts: list[list[tuple[int, int]]] = [[] for _ in range(horizon)]
+    if casual.contacts_per_day > 0 and nh >= 2:
+        counts = rng_struct.poisson(casual.contacts_per_day, size=(horizon, nh))
+        for day in range(horizon):
+            for i in range(nh):
+                for _ in range(int(counts[day, i])):
+                    j = int(rng_struct.integers(nh - 1))
+                    contacts[day].append((i, j + (j >= i)))
+    rng_coin = np.random.default_rng(k_coin)
+    u_sched = rng_coin.random(sched.n_events)
+    u_casual = iter(rng_coin.random(sum(map(len, contacts))))
+    bubble = [None] * sched.n_agents
+    if clustering is not None:
+        bubble = ([clustering.hcp_bubble.get(h) for h in sched.hcp_ids]
+                  + [clustering.location_bubble.get(r) for r in sched.rooms])
+    day_of = [-1] * sched.n_agents
+    day_of[seed] = 0
+    log = []
+
+    def infectious(x: int, day: int) -> bool:
+        return 1 <= day - day_of[x] <= d.infectious_span and day_of[x] >= 0 \
+            and (not only_seed or x == seed)
+
+    def attempt(day, a, b, minutes, u, t_s, loc, hh) -> None:
+        if infectious(a, day) and day_of[b] < 0:
+            src, dst = a, b
+        elif infectious(b, day) and day_of[a] < 0:
+            src, dst = b, a
+        else:
+            return
+        p = contact_infection_prob(minutes, shedding(day - day_of[src], d), d.rho)
+        if hh and None not in (bubble[a], bubble[b]) and bubble[a] != bubble[b]:
+            p *= d.cross_bubble_scale
+        if u < p:
+            day_of[dst] = day
+            log.append(TransmissionEvent(day, t_s, sched.agent_ids[src],
+                                         sched.agent_ids[dst], loc))
+
+    for day in range(horizon):
+        for i in np.flatnonzero(sched.ev_day == day):
+            attempt(day, int(sched.ev_a[i]), int(sched.ev_b[i]), float(sched.ev_dur[i]),
+                    float(u_sched[i]), int(sched.ev_t[i]), sched.ev_loc[i], bool(sched.ev_hh[i]))
+        for a, b in contacts[day]:
+            attempt(day, a, b, casual.duration_min, float(next(u_casual)),
+                    day * SECONDS_PER_DAY, CASUAL_LOCATION, True)
+    others = [x for x in range(sched.n_agents) if day_of[x] >= 0 and x != seed]
+    out = [bubble[x] for x in others if bubble[x] != bubble[seed]]
+    return ReplicateResult(
+        replicate=rep, seed_agent=sched.agent_ids[seed], infections=len(others) + 1,
+        infections_excl_seed=len(others),
+        leave=bool(out) if clustering is not None else None,
+        reach=any(b is not None for b in out) if clustering is not None else None,
+        log=tuple(log) if cfg.keep_transmission_log else (),
+    )
+
+
+def _pinned_cases():
+    """(name, clustering, config, horizon, only_seed) for each pinned run."""
+    sched, bubbles = _pinned_instance()
+    cfg = SimConfig(disease=DiseaseParams(rho=0.01), replicates=PINNED_REPLICATES, seed=7,
+                    horizon_days=12, casual=CasualContactModel(contacts_per_day=1.0),
+                    keep_transmission_log=True)
+    sealed = replace(cfg, disease=replace(cfg.disease, cross_bubble_scale=0.0))
+    seed_days = cfg.disease.infectious_span + 1  # the horizon estimate_r0 uses
+    return sched, [
+        ("unclustered", None, cfg, 12, False),
+        ("bubbles_0.75", bubbles, cfg, 12, False),
+        ("bubbles_0", bubbles, sealed, 12, False),
+        ("only_seed", None, cfg, seed_days, True),
+        ("only_seed_bubbles", bubbles, cfg, seed_days, True),
+        ("only_seed_short", bubbles, cfg, 4, True),
+    ]
+
+
+def _as_json(r) -> dict:
+    return {
+        "replicate": r.replicate, "seed_agent": r.seed_agent, "infections": r.infections,
+        "infections_excl_seed": r.infections_excl_seed, "leave": r.leave, "reach": r.reach,
+        "log": [list(e) for e in r.log],
+    }
+
+
+def _record(kernel=_run_replicate) -> dict:
+    sched, cases = _pinned_cases()
+    return {
+        name: [_as_json(kernel(sched, c, cfg, horizon, rep, only_seed=only))
+               for rep in range(PINNED_REPLICATES)]
+        for name, c, cfg, horizon, only in cases
+    }
+
+
+class TestPinned:
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return json.loads(PINNED.read_text())
+
+    @pytest.fixture(scope="class")
+    def replayed(self):
+        return _record()
+
+    @pytest.mark.parametrize("name", [case[0] for case in _pinned_cases()[1]])
+    def test_replicates_match_recording(self, recorded, replayed, name):
+        assert replayed[name] == recorded[name]
+
+    def test_scalar_reference_matches_recording(self, recorded):
+        assert _record(scalar_replicate) == recorded
+
+    def test_recording_transmits(self, recorded):
+        # the pinned runs exercise transmission, casual contacts and bubble damping
+        logs = [e for runs in recorded.values() for r in runs for e in r["log"]]
+        assert sum(e[4] == "casual" for e in logs) > 0
+        assert sum(e[4] != "casual" for e in logs) > 0
+        assert any(r["leave"] for r in recorded["bubbles_0.75"])
+        total = lambda name: sum(r["infections"] for r in recorded[name])  # noqa: E731
+        assert total("bubbles_0") < total("bubbles_0.75") < total("unclustered")
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("seed,rho,per_day,scale,horizon,only_seed,bubbles,days", [
+        (4, 0.003, 0.0, 0.75, None, False, "random", (6, 10)),
+        (4, 0.03, 3.0, 0.0, None, False, "zones", (6, 10)),
+        (5, 0.03, 0.5, 1.0, 9, False, "zones", (6, 10)),
+        (5, 0.01, 2.0, 0.5, 3, False, None, (6, 10)),
+        (6, 1.0, 1.0, 0.25, None, False, "random", (6, 10)),
+        (6, 0.0, 1.0, 0.75, None, False, "zones", (6, 10)),
+        # recovery inside the horizon
+        (4, 1.0, 0.5, 0.5, 12, False, "zones", (1, 1)),
+        (4, 0.005, 1.0, 0.5, 20, False, None, (1, 1)),
+        (5, 0.02, 0.0, 0.75, 20, False, "zones", (1, 1)),
+        (5, 0.1, 1.0, 0.0, 9, False, "random", (2, 2)),
+        (4, 0.03, 3.0, 0.5, 17, True, "random", (6, 10)),
+        (5, 0.5, 0.5, 0.0, 2, True, "zones", (6, 10)),
+        (6, 1.0, 1.0, 0.5, 5, True, None, (1, 2)),
+    ])
+    def test_array_kernel_equals_scalar(self, seed, rho, per_day, scale, horizon,
+                                        only_seed, bubbles, days):
+        sched, zones = _pinned_instance(days=6, seed=seed)
+        g = sched.graph
+        clustering = {"zones": zones, None: None, "random": random_clustering(
+            g.hcps, g.locations.substitutable, 3, seed=seed)}[bubbles]
+        disease = DiseaseParams(rho=rho, incubation_days=days[0], recovery_days=days[1],
+                                cross_bubble_scale=scale)
+        cfg = SimConfig(disease=disease, seed=seed, horizon_days=horizon,
+                        keep_transmission_log=True,
+                        casual=CasualContactModel(contacts_per_day=per_day))
+        for rep in range(40):
+            args = (sched, clustering, cfg, cfg.horizon(g), rep)
+            assert _run_replicate(*args, only_seed=only_seed) == \
+                scalar_replicate(*args, only_seed=only_seed)
+
+
+# -- exact final-size oracle ------------------------------------------------------
+
+DAY = 86400
+HOUR = 3600
+ORACLE_REPLICATES = 20_000
+
+
+def _oracle_graph():
+    """Two group-a HCPs, one ns HCP and two rooms: five agents over six days."""
+    rows = [
+        ("p1", "la", 0, HOUR),
+        ("p1", "la", DAY, DAY + HOUR), ("p2", "la", DAY + HOUR // 2, DAY + 2 * HOUR),
+        ("p3", "hall", DAY + 2 * HOUR, DAY + 3 * HOUR),
+        ("p1", "hall", DAY + 2 * HOUR + HOUR // 2, DAY + 4 * HOUR),
+        ("p2", "lb", 2 * DAY, 2 * DAY + HOUR), ("p3", "lb", 2 * DAY, 2 * DAY + HOUR // 2),
+        ("p1", "hall", 2 * DAY + 2 * HOUR, 2 * DAY + 3 * HOUR),
+        ("p2", "hall", 2 * DAY + 2 * HOUR, 2 * DAY + 3 * HOUR),
+        ("p3", "la", 3 * DAY, 3 * DAY + HOUR), ("p2", "la", 3 * DAY + HOUR, 3 * DAY + 2 * HOUR),
+        ("p1", "lb", 4 * DAY, 4 * DAY + HOUR // 3),
+        ("p3", "hall", 4 * DAY, 4 * DAY + HOUR), ("p2", "hall", 4 * DAY, 4 * DAY + HOUR),
+        ("p2", "la", 5 * DAY, 5 * DAY + HOUR),
+    ]
+    g = make_graph(rows, {"p1": "a", "p2": "a", "p3": "ns"},
+                   {"la": "s", "lb": "s", "hall": "ns"})
+    bubbles = BubbleClustering(k=2, location_bubble={"la": 1, "lb": 2},
+                               hcp_bubble={"p1": 1, "p2": 2})
+    return g, bubbles
+
+
+def _oracle_events(g) -> list[tuple[int, str, str, float, bool]]:
+    """(day, agent, agent, minutes, hcp-hcp) for every contact the log implies.
+
+    A visit to a room meets its resident, named by the room; two HCPs meet
+    where their visits to one location overlap, on the day the later one starts.
+    """
+    rooms = set(g.locations.substitutable)
+    events = [(v.start_s // DAY, v.hcp, v.location, (v.end_s - v.start_s) / 60.0, False)
+              for v in g.visits if v.location in rooms]
+    for v, w in itertools.combinations(g.visits, 2):
+        overlap = min(v.end_s, w.end_s) - max(v.start_s, w.start_s)
+        if v.location == w.location and v.hcp != w.hcp and overlap > 0:
+            events.append((max(v.start_s, w.start_s) // DAY, v.hcp, w.hcp, overlap / 60.0, True))
+    return events
+
+
+def exact_final_sizes(g, clustering, cfg: SimConfig) -> dict[int, float]:
+    """P(final size = n) by recursion over the infection day of every agent.
+
+    The infectious set is fixed for a day, so each susceptible agent escapes
+    independently: with probability prod(1 - p_e) over that day's events with
+    an infectious partner, times exp(-2 lam p_c / (n_h - 1)) per infectious
+    HCP for casual contacts (each HCP of a pair draws Poisson(lam) contacts
+    with a uniform other HCP).
+    """
+    d = cfg.disease
+    hcps = g.hcps.ids
+    agents = hcps + g.locations.substitutable
+    bubble = {}
+    if clustering is not None:
+        bubble = {**clustering.hcp_bubble, **clustering.location_bubble}
+    events = _oracle_events(g)
+    lam, nh = cfg.casual.contacts_per_day, len(hcps)
+    horizon = cfg.horizon(g)
+
+    def prob(minutes: float, since: int, x: str, y: str, hh: bool) -> float:
+        p = contact_infection_prob(minutes, shedding(since, d), d.rho)
+        bx, by = bubble.get(x), bubble.get(y)
+        if hh and bx is not None and by is not None and bx != by:
+            p *= d.cross_bubble_scale
+        return p
+
+    @functools.lru_cache(maxsize=None)
+    def spread(day: int, day_of: tuple[int, ...]) -> dict[int, float]:
+        infected = {a: s for a, s in zip(agents, day_of) if s >= 0}
+        if day == horizon:
+            return {len(infected): 1.0}
+        infectious = {a for a, s in infected.items() if 1 <= day - s <= d.infectious_span}
+        susceptible = [a for a in agents if a not in infected]
+        risk = []
+        for x in susceptible:
+            escape = 1.0
+            for ev_day, a, b, minutes, hh in events:
+                if ev_day == day and x in (a, b):
+                    y = b if x == a else a
+                    if y in infectious:
+                        escape *= 1.0 - prob(minutes, day - infected[y], x, y, hh)
+            if lam > 0 and nh >= 2 and x in hcps:
+                for y in infectious & set(hcps):
+                    p_c = prob(cfg.casual.duration_min, day - infected[y], x, y, True)
+                    escape *= math.exp(-2.0 * lam * p_c / (nh - 1))
+            risk.append(1.0 - escape)
+        out: dict[int, float] = {}
+        for hits in itertools.product((False, True), repeat=len(susceptible)):
+            w = math.prod(q if hit else 1.0 - q for q, hit in zip(risk, hits))
+            if w == 0.0:
+                continue
+            new = {x for x, hit in zip(susceptible, hits) if hit}
+            nxt = tuple(day if a in new else s for a, s in zip(agents, day_of))
+            for size, p in spread(day + 1, nxt).items():
+                out[size] = out.get(size, 0.0) + w * p
+        return out
+
+    seeds = g.hcps.members(g.hcps.group_labels[0])
+    total: dict[int, float] = {}
+    for seed in seeds:
+        start = tuple(0 if a == seed else -1 for a in agents)
+        for size, p in spread(0, start).items():
+            total[size] = total.get(size, 0.0) + p / len(seeds)
+    return total
+
+
+class TestExactFinalSize:
+    @pytest.mark.parametrize("clustered,casual", [
+        (False, False), (True, False), (False, True), (True, True),
+    ])
+    def test_simulation_matches_exact_distribution(self, clustered, casual):
+        g, bubbles = _oracle_graph()
+        clustering = bubbles if clustered else None
+        cfg = SimConfig(
+            disease=DiseaseParams(rho=0.01, incubation_days=2, recovery_days=1,
+                                  cross_bubble_scale=0.5),
+            replicates=ORACLE_REPLICATES, seed=11, horizon_days=7,
+            casual=CasualContactModel(contacts_per_day=2.0 if casual else 0.0),
+        )
+        exact = exact_final_sizes(g, clustering, cfg)
+        assert sum(exact.values()) == pytest.approx(1.0)
+        counts = simulate(g, clustering, cfg).infection_counts()
+        n = len(counts)
+        for size in range(1, 6):
+            p = exact.get(size, 0.0)
+            freq = counts.count(size) / n
+            se = math.sqrt(p * (1.0 - p) / n)
+            assert abs(freq - p) <= 4.0 * se, (size, freq, p)
+
+    def test_oracle_sees_damping(self):
+        # the clustered and unclustered distributions differ, so the comparisons have teeth
+        g, bubbles = _oracle_graph()
+        cfg = SimConfig(disease=DiseaseParams(rho=0.01, incubation_days=2, recovery_days=1,
+                                              cross_bubble_scale=0.5),
+                        horizon_days=7, casual=CasualContactModel(contacts_per_day=0.0))
+        free, damped = exact_final_sizes(g, None, cfg), exact_final_sizes(g, bubbles, cfg)
+        mean = lambda dist: sum(s * p for s, p in dist.items())  # noqa: E731
+        assert mean(damped) < mean(free) - 0.05
+
+
+if __name__ == "__main__":
+    runs = [f"{json.dumps(name)}: [\n" + ",\n".join(json.dumps(r) for r in reps) + "\n]"
+            for name, reps in _record().items()]
+    PINNED.parent.mkdir(exist_ok=True)
+    PINNED.write_text("{\n" + ",\n".join(runs) + "\n}\n")

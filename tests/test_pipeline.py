@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from corn.clustering import load_clustering
-from corn.episim import DiseaseParams, SimConfig, estimate_r0, simulate
+from corn.episim import ContactSchedule, DiseaseParams, SimConfig, estimate_r0, simulate
 from corn.pipeline import ExperimentConfig, derive_seed, run_experiment
 from corn.rewiring import compute_costs, random_clustering, rewire, write_cost_csv
 from corn.spatial import shortest_path_metric
@@ -81,10 +81,11 @@ class TestTwoWorkers:
     def test_estimate_r0(self, facility, monkeypatch):
         _, g = facility
         cfg = SimConfig(disease=DiseaseParams(rho=0.0), replicates=12, seed=4)
-        one = estimate_r0(g, 0.2, cfg)
+        sched = ContactSchedule(g)
+        one = estimate_r0(sched, 0.2, cfg)
         assert one.mean > 0.0
         two_workers(monkeypatch)
-        assert estimate_r0(g, 0.2, cfg) == one
+        assert estimate_r0(sched, 0.2, cfg) == one
 
     def test_experiment_reports_identical(self, runs):
         one, two = runs
