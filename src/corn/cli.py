@@ -54,12 +54,11 @@ EXIT_TIMEOUT = 4
 _STATUS_EXIT = {"optimal": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "timeout": EXIT_TIMEOUT}
 
 
-def _add_input_flags(p: argparse.ArgumentParser, spatial_required: bool = False) -> None:
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hcps", required=True, help="HCP roster CSV")
     p.add_argument("--locations", required=True, help="location roster CSV")
     p.add_argument("--visits", required=True, help="mobility log CSV")
-    p.add_argument("--spatial", required=spatial_required, default=None,
-                   help="spatial graph JSON" + ("" if spatial_required else " (optional)"))
+    p.add_argument("--spatial", default=None, help="spatial graph JSON (optional)")
 
 
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:

@@ -40,6 +40,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -172,7 +173,14 @@ class SimSummary:
 
 
 class ContactSchedule:
-    """Precomputed contact events of one visit graph."""
+    """Precomputed contact events of one visit graph, in (t, a, b, location) order.
+
+    Each visit to a substitutable room is a contact between its HCP (a) and
+    the room's resident (b). Each pair of overlapping visits by different
+    HCPs at one location is a contact between the earlier visit's HCP (a)
+    and the later one's (b), at the start of the later visit (t). Events
+    that tie on the whole key keep the order they are built in.
+    """
 
     def __init__(self, g: VisitGraph):
         self.graph = g
@@ -189,53 +197,30 @@ class ContactSchedule:
             raise ConfigError("no substitutable HCP group to seed from")
         self.seed_members = tuple(self.hcp_index[h] for h in g.hcps.members(labels[0]))
 
-        ev_day: list[int] = []
-        ev_t: list[int] = []
-        ev_dur: list[float] = []
-        ev_a: list[int] = []
-        ev_b: list[int] = []
-        ev_loc: list[str] = []
-        ev_hh: list[bool] = []  # HCP-HCP contact, eligible for bubble damping
+        hi, ri = self.hcp_index, self.resident_index
+        # (t, a, b, location, minutes, HCP-HCP); only HCP-HCP contacts are bubble-damped
+        events = [(v.start_s, hi[v.hcp], ri[v.location], v.location, v.duration_s / 60.0, False)
+                  for v in g.visits if v.location in ri]
+        open_at: dict[str, list] = {}  # per location, the visits a later one may overlap
+        for v in g.visits:  # graph order is chronological
+            here = [o for o in open_at.get(v.location, ()) if o.end_s > v.start_s]
+            for o in here:
+                overlap_s = min(o.end_s, v.end_s) - v.start_s
+                if overlap_s > 0 and o.hcp != v.hcp:
+                    events.append((v.start_s, hi[o.hcp], hi[v.hcp], v.location,
+                                   overlap_s / 60.0, True))
+            open_at[v.location] = here + [v]
 
-        for v in g.visits:
-            if v.location in self.resident_index:
-                ev_day.append(v.start_s // SECONDS_PER_DAY)
-                ev_t.append(v.start_s)
-                ev_dur.append(v.duration_s / 60.0)
-                ev_a.append(self.hcp_index[v.hcp])
-                ev_b.append(self.resident_index[v.location])
-                ev_loc.append(v.location)
-                ev_hh.append(False)
-
-        by_loc: dict[str, list] = {}
-        for v in g.visits:
-            by_loc.setdefault(v.location, []).append(v)
-        for loc, visits in by_loc.items():
-            active: list = []
-            for v in visits:  # graph order is chronological
-                active = [o for o in active if o.end_s > v.start_s]
-                for o in active:
-                    overlap_s = min(o.end_s, v.end_s) - v.start_s
-                    if overlap_s <= 0 or o.hcp == v.hcp:
-                        continue
-                    ev_day.append(v.start_s // SECONDS_PER_DAY)
-                    ev_t.append(v.start_s)
-                    ev_dur.append(overlap_s / 60.0)
-                    ev_a.append(self.hcp_index[o.hcp])
-                    ev_b.append(self.hcp_index[v.hcp])
-                    ev_loc.append(loc)
-                    ev_hh.append(True)
-                active.append(v)
-
-        order = sorted(range(len(ev_t)), key=lambda i: (ev_t[i], ev_a[i], ev_b[i], ev_loc[i]))
-        self.ev_day = np.array([ev_day[i] for i in order], dtype=np.int64)
-        self.ev_t = np.array([ev_t[i] for i in order], dtype=np.int64)
-        self.ev_dur = np.array([ev_dur[i] for i in order], dtype=float)
-        self.ev_a = np.array([ev_a[i] for i in order], dtype=np.int64)
-        self.ev_b = np.array([ev_b[i] for i in order], dtype=np.int64)
-        self.ev_loc = tuple(ev_loc[i] for i in order)
-        self.ev_hh = np.array([ev_hh[i] for i in order], dtype=bool)
-        self.n_events = len(order)
+        events.sort(key=itemgetter(0, 1, 2, 3))  # stable, so ties keep their build order
+        # one structured array, not zip(*events): zip holds an iterator per event, and
+        # tens of thousands of them reach the oldest GC generation and set off full collections
+        ev = np.array(events, dtype=[("t", np.int64), ("a", np.int64), ("b", np.int64),
+                                     ("loc", object), ("dur", float), ("hh", bool)])
+        self.ev_t, self.ev_a, self.ev_b, self.ev_dur, self.ev_hh = (
+            np.ascontiguousarray(ev[f]) for f in ("t", "a", "b", "dur", "hh"))
+        self.ev_day = self.ev_t // SECONDS_PER_DAY
+        self.ev_loc = tuple(ev["loc"])
+        self.n_events = len(events)
 
 
 def build_contact_schedule(g: VisitGraph) -> ContactSchedule:

@@ -101,7 +101,7 @@ class ExperimentConfig:
     recovery_days: int = DiseaseParams.recovery_days
     cross_bubble_scale: float = DiseaseParams.cross_bubble_scale
     calibration_replicates: int = 400
-    time_limit_s: float | None = None
+    time_limit_s: float | None = 600.0  # finite, so a dense solve ends; None or inf: no limit
     cost_rewirings: int = 30
 
     def sim_config(self, rho: float, replicates: int, seed: int) -> SimConfig:

@@ -7,12 +7,19 @@ visits are processed in chronological order; each is handed to a uniformly
 random same-group HCP of the room's bubble whose schedule so far leaves
 the interval free. A visit with no free candidate is dropped and later
 surfaces as unmet demand.
+
+Conflict rule: HCP p is free for visit v when p's latest unpinned claim
+ends at or before v starts, and the last of p's pinned intervals that
+starts before v ends also ends at or before v starts. Two preconditions
+make these two checks exact. The graph's visits are in chronological
+order, as VisitGraph.build sorts them, so unpinned claims arrive in start
+order. And each HCP's own visits are disjoint, as validate() enforces, so
+p's pinned intervals, taken in graph order, are sorted and disjoint.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,32 +40,8 @@ class RewiredGraph:
     assigned: tuple[str | None, ...]  # per source visit; None means dropped
 
     @property
-    def dropped_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, h in enumerate(self.assigned) if h is None)
-
-    @property
     def dropped_count(self) -> int:
         return sum(1 for h in self.assigned if h is None)
-
-
-class _Calendar:
-    """Per-HCP interval book with O(log n) conflict checks."""
-
-    def __init__(self) -> None:
-        self.by_hcp: dict[str, list[tuple[int, int]]] = {}
-
-    def conflicts(self, hcp: str, start: int, end: int) -> bool:
-        iv = self.by_hcp.get(hcp)
-        if not iv:
-            return False
-        i = bisect.bisect_left(iv, (start,))
-        if i > 0 and iv[i - 1][1] > start:
-            return True
-        return i < len(iv) and iv[i][0] < end
-
-    def claim(self, hcp: str, start: int, end: int) -> None:
-        iv = self.by_hcp.setdefault(hcp, [])
-        bisect.insort(iv, (start, end))
 
 
 def check_coverage(g: VisitGraph, c: BubbleClustering) -> None:
@@ -83,42 +66,38 @@ def rewire(
     rng = np.random.default_rng(seed)
     ns_hcps = set(g.hcps.non_substitutable)
     ns_locs = set(g.locations.non_substitutable)
-    cal = _Calendar()
+    hcp_bubble, location_bubble = clustering.hcp_bubble, clustering.location_bubble
     assigned: list[str | None] = [None] * len(g.visits)
-
-    def pinned(v: Visit) -> bool:
-        if v.hcp in ns_hcps or v.location in ns_locs:
-            return True
-        return keep_same_bubble_hcp and (
-            clustering.hcp_bubble[v.hcp] == clustering.location_bubble[v.location]
-        )
-
+    fixed: dict[str, list[tuple[int, int]]] = {}  # pinned intervals per HCP, in start order
     for i, v in enumerate(g.visits):
-        if pinned(v):
+        if (v.hcp in ns_hcps or v.location in ns_locs or keep_same_bubble_hcp
+                and hcp_bubble[v.hcp] == location_bubble[v.location]):
             assigned[i] = v.hcp
-            cal.claim(v.hcp, v.start_s, v.end_s)
+            fixed.setdefault(v.hcp, []).append((v.start_s, v.end_s))
 
-    members: dict[tuple[str, int], tuple[str, ...]] = {}
-    for lab in g.hcps.group_labels:
-        for b in range(1, clustering.k + 1):
-            members[(lab, b)] = tuple(
-                sorted(p for p in g.hcps.members(lab) if clustering.hcp_bubble[p] == b)
-            )
+    members = {(lab, b): tuple(sorted(p for p in g.hcps.members(lab) if hcp_bubble[p] == b))
+               for lab in g.hcps.group_labels for b in range(1, clustering.k + 1)}
+
+    last_end: dict[str, int] = {}  # end of each HCP's latest unpinned claim
+
+    def is_free(p: str, start: int, end: int) -> bool:
+        if last_end.get(p, start) > start:
+            return False
+        iv = fixed.get(p, ())
+        j = bisect.bisect_left(iv, (end,))
+        return j == 0 or iv[j - 1][1] <= start
 
     for i, v in enumerate(g.visits):
         if assigned[i] is not None:
             continue
-        bubble = clustering.location_bubble[v.location]
         group = g.hcps.types[v.hcp]
-        free = [
-            p for p in members[(group, bubble)]
-            if not cal.conflicts(p, v.start_s, v.end_s)
-        ]
+        free = [p for p in members[(group, location_bubble[v.location])]
+                if is_free(p, v.start_s, v.end_s)]
         if not free:
             continue
         pick = free[int(rng.integers(len(free)))]
         assigned[i] = pick
-        cal.claim(pick, v.start_s, v.end_s)
+        last_end[pick] = v.end_s
 
     kept = [
         Visit(v.start_s, v.end_s, h, v.location)

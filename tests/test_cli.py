@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -203,6 +204,28 @@ class TestCluster:
                    "--time-limit-s", "0.0", "--out", str(tmp_path / "c4")])
         assert rc == EXIT_TIMEOUT
         capsys.readouterr()
+
+    def test_default_time_limit_is_finite(self):
+        # a dense solve can run for hours, so every default stops it
+        limit = ExperimentConfig.time_limit_s
+        assert limit is not None and math.isfinite(limit)
+        ap = build_parser()
+        cluster = ap.parse_args(["cluster", "--hcps", "h", "--locations", "l", "--visits", "v",
+                                 "--rho", "0.001", "--k", "2", "--out", "o"])
+        experiment = ap.parse_args(["experiment", "--facility", "f", "--out", "o"])
+        assert cluster.time_limit_s == experiment.time_limit_s == limit
+
+    def test_experiment_timeout_records_bound(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        tiny_spec(rooms=12, zones=3, hcp_groups=(("n", 6),)).to_json(spec_path)
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--facility", str(spec_path), "--k", "3", "--rho", "0.001",
+                   "--replicates", "1", "--time-limit-s", "0.0", "--out", str(out)])
+        assert rc == EXIT_TIMEOUT
+        assert "timeout" in capsys.readouterr().err
+        solves = json.loads((out / "reports" / "solves.json").read_text())
+        assert solves["k3"]["status"] == "timeout"
+        assert solves["k3"]["bound"] is not None
 
 
 class TestExport:

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corn.episim
@@ -32,7 +32,7 @@ from corn.episim import (
 )
 from corn.errors import ConfigError, NotBracketedError
 
-from .conftest import make_graph
+from .conftest import make_graph, small_logs
 
 DAY = 86400
 NO_CASUAL = CasualContactModel(contacts_per_day=0.0)
@@ -144,6 +144,35 @@ def two_bubble_graph():
     c = BubbleClustering(k=2, location_bubble={"la": 1, "lb": 2},
                          hcp_bubble={"p1": 1, "p2": 2})
     return g, c
+
+
+class TestContactSchedule:
+    @settings(max_examples=300, deadline=None)
+    @given(small_logs())
+    def test_events_equal_brute_force(self, log):
+        # every resident visit, and every overlapping pair of visits by different
+        # HCPs at one location (earlier visit in graph order first), by (t, a, b, loc)
+        g = log[0]
+        hcp = {h: i for i, h in enumerate(g.hcps.ids)}
+        resident = {r: len(hcp) + i for i, r in enumerate(g.locations.substitutable)}
+        want = [(v.start_s, hcp[v.hcp], resident[v.location], v.location,
+                 v.duration_s / 60.0, False)
+                for v in g.visits if v.location in resident]
+        for i, u in enumerate(g.visits):
+            for v in g.visits[i + 1:]:
+                overlap_s = min(u.end_s, v.end_s) - max(u.start_s, v.start_s)
+                if u.location == v.location and u.hcp != v.hcp and overlap_s > 0:
+                    want.append((v.start_s, hcp[u.hcp], hcp[v.hcp], v.location,
+                                 overlap_s / 60.0, True))
+        want.sort(key=lambda e: e[:4])
+        s = ContactSchedule(g)
+        got = list(zip(s.ev_t.tolist(), s.ev_a.tolist(), s.ev_b.tolist(), s.ev_loc,
+                       s.ev_dur.tolist(), s.ev_hh.tolist()))
+        assert got == want
+        assert s.n_events == len(want)
+        assert s.ev_day.tolist() == [e[0] // DAY for e in want]
+        assert [a.dtype for a in (s.ev_t, s.ev_day, s.ev_a, s.ev_b, s.ev_dur, s.ev_hh)] \
+            == [np.int64, np.int64, np.int64, np.int64, np.float64, np.bool_]
 
 
 class TestSimulate:

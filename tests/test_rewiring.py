@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corn.clustering import BubbleClustering
 from corn.errors import ClusteringMismatchError, InvalidKError
@@ -8,7 +10,7 @@ from corn.model import HcpRoster, compute_loads_demands
 from corn.rewiring import compute_costs, random_clustering, rewire, write_cost_csv
 from corn.spatial import DistanceMatrix
 
-from .conftest import make_graph
+from .conftest import make_graph, small_logs
 
 HOUR = 3600
 
@@ -58,7 +60,7 @@ class TestGoldenInstance:
         assert rep.excess_load["p5"] == pytest.approx(1.0)
         assert rep.excess_load["p6"] == pytest.approx(1.0)
         assert rw.dropped_count == 1
-        lost = rw.source.visits[rw.dropped_indices[0]]
+        (lost,) = [v for v, h in zip(rw.source.visits, rw.assigned) if h is None]
         assert lost.hcp == "p3" and lost.location == "l4"
 
     def test_ns_visits_verbatim(self):
@@ -86,7 +88,7 @@ class TestRewireRules:
         base_labels = sorted((v.start_s, v.end_s, v.location) for v in g.visits)
         out_labels = [(v.start_s, v.end_s, v.location) for v in rw.graph.visits]
         dropped = [(v.start_s, v.end_s, v.location)
-                   for i, v in enumerate(g.visits) if i in rw.dropped_indices]
+                   for v, h in zip(g.visits, rw.assigned) if h is None]
         assert sorted(out_labels + dropped) == base_labels
 
     def test_determinism(self):
@@ -134,8 +136,9 @@ class TestRewireRules:
         g = golden_graph()
         c = golden_clustering()
         rw = rewire(g, c, seed=11)
-        for i in rw.dropped_indices:
-            v = g.visits[i]
+        for v, h in zip(g.visits, rw.assigned):
+            if h is not None:
+                continue
             bubble = c.location_bubble[v.location]
             members = [p for p in c.hcp_bubble
                        if c.hcp_bubble[p] == bubble
@@ -144,6 +147,33 @@ class TestRewireRules:
                 overlaps = [u for u in rw.graph.visits if u.hcp == p
                             and u.start_s < v.end_s and v.start_s < u.end_s]
                 assert overlaps, f"{p} was free during a dropped visit"
+
+
+class TestBruteForceReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(small_logs(), st.integers(0, 2**16))
+    def test_each_pick_is_free_and_drops_have_no_candidate(self, log, seed):
+        # replay in graph order; an HCP is busy over its pinned intervals and the
+        # visits it has already been given, each checked pair by pair
+        g, c, keep = log
+        rw = rewire(g, c, seed=seed, keep_same_bubble_hcp=keep)
+        ns_hcps, ns_locs = set(g.hcps.non_substitutable), set(g.locations.non_substitutable)
+        pinned = [v.hcp in ns_hcps or v.location in ns_locs
+                  or (keep and c.hcp_bubble[v.hcp] == c.location_bubble[v.location])
+                  for v in g.visits]
+        busy = [(v.hcp, v) for v, pin in zip(g.visits, pinned) if pin]
+        for v, pin, got in zip(g.visits, pinned, rw.assigned):
+            if pin:
+                assert got == v.hcp
+                continue
+            free = {p for p in g.hcps.members(g.hcps.types[v.hcp])
+                    if c.hcp_bubble[p] == c.location_bubble[v.location]
+                    and not any(h == p and u.start_s < v.end_s and v.start_s < u.end_s
+                                for h, u in busy)}
+            assert (got is None) == (not free)
+            if got is not None:
+                assert got in free
+                busy.append((got, v))
 
 
 class TestConservation:
