@@ -93,12 +93,6 @@ def shedding(day_since_infection: int, p: DiseaseParams) -> float:
     return 0.0
 
 
-def contact_infection_prob(d_minutes: float, beta: float, rho: float) -> float:
-    if d_minutes < 0:
-        raise ConfigError("contact duration must be >= 0")
-    return min(1.0, rho * d_minutes * beta)
-
-
 @dataclass(frozen=True)
 class CasualContactModel:
     contacts_per_day: float = 0.1  # Poisson mean per HCP per day

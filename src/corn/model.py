@@ -1,4 +1,4 @@
-"""Core data model: rosters, visit graphs, loads/demands, interval chopping.
+"""Core data model: rosters, visit graphs, loads/demands, visit chopping.
 
 Time is integer seconds from the start of the log. Derived load/demand figures
 are reported in hours per day, where the day count is ceil(max end / 86400).
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 NS_TYPE = "ns"
 KIND_SUBSTITUTABLE = "s"
@@ -268,16 +268,6 @@ def chop_visit(v: Visit, unit_s: int) -> list[Visit]:
         starts = q  # last full fragment absorbs the remainder
     cuts = [v.start_s + i * unit_s for i in range(starts)] + [v.end_s]
     return [Visit(a, b, v.hcp, v.location) for a, b in zip(cuts, cuts[1:])]
-
-
-def chop_intervals(g: VisitGraph, unit_s: int) -> VisitGraph:
-    """Rewrite every visit as uniform unit-length fragments (boundary rule above)."""
-    if unit_s <= 0:
-        raise ConfigError(f"unit_s must be positive, got {unit_s}")
-    out: list[Visit] = []
-    for v in g.visits:
-        out.extend(chop_visit(v, unit_s))
-    return VisitGraph.build(g.hcps, g.locations, out)
 
 
 def write_hcp_roster(roster: HcpRoster, path: str | Path) -> None:

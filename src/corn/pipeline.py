@@ -215,7 +215,7 @@ def _arm_job(arm: _Arm, rep: int):
                             arm.sim.horizon(graph), rep)
     if rep >= arm.cost_rewirings:
         return result, None, None
-    costs = compute_costs(graph, rw, arm.dist)
+    costs = compute_costs(rw, arm.dist)
     row = {
         "excess_load_mean_h_per_day": statistics.mean(costs.excess_load.values()),
         "unmet_demand_mean_h_per_day": statistics.mean(costs.unmet_demand.values()),
@@ -285,7 +285,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         for k in cfg.k_list:
             check_k(k, len(locations.substitutable), groups)
 
-    # nothing is written before the inputs are read and every K is checked against them
+    dist = shortest_path_metric(spatial, list(locations.ids))
+
+    # nothing is written before the inputs are read and every K and room is checked against them
     out = Path(out_dir)
     reports = out / "reports"
     inputs_dir = reports / "inputs"
@@ -301,7 +303,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
     write_mobility_log(graph, inputs_dir / "visits.csv")
     save_spatial_graph(spatial, inputs_dir / "spatial.json")
 
-    dist = shortest_path_metric(spatial, list(locations.ids))
     loads = compute_loads_demands(graph)
 
     rho, rho_record = resolve_rho(graph, cfg)

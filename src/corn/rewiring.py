@@ -20,6 +20,7 @@ p's pinned intervals, taken in graph order, are sorted and disjoint.
 from __future__ import annotations
 
 import bisect
+from itertools import combinations
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .clustering import BubbleClustering, canonicalize
 from .errors import ClusteringMismatchError
-from .model import HcpRoster, Visit, VisitGraph, compute_loads_demands
+from .model import HcpRoster, Visit, VisitGraph
 from .optimizer.model import check_k
 from .spatial import DistanceMatrix
 
@@ -158,57 +159,39 @@ class CostReport:
     bubble_diameters: dict[int, float]
 
 
-def _footsteps(g: VisitGraph, dist: DistanceMatrix, days: int) -> dict[str, float]:
-    out = {h: 0.0 for h in g.hcps.ids}
-    prev: dict[str, str] = {}
-    for v in g.visits:  # already in chronological order
-        if v.hcp in prev:
-            out[v.hcp] += dist.get(prev[v.hcp], v.location)
-        prev[v.hcp] = v.location
-    return {h: s / days for h, s in out.items()}
+def compute_costs(rw: RewiredGraph, dist: DistanceMatrix) -> CostReport:
+    """Costs of rw.graph against rw.source, per day of the source log.
 
-
-def compute_costs(
-    base: VisitGraph,
-    rewired: RewiredGraph | VisitGraph,
-    dist: DistanceMatrix,
-) -> CostReport:
-    """Costs of rewired against base; bubble diameters need a RewiredGraph's clustering."""
-    if isinstance(rewired, RewiredGraph):
-        rg, clustering = rewired.graph, rewired.clustering
-    else:
-        rg, clustering = rewired, None
-    days = base.day_count
-
-    def hours_per_base_day(g: VisitGraph) -> tuple[dict[str, float], dict[str, float]]:
-        t = compute_loads_demands(g)
-        scale = t.day_count / days
-        return (
-            {h: x * scale for h, x in t.loads.items()},
-            {l: x * scale for l, x in t.demands.items()},
-        )
-
-    load_b, dem_b = hours_per_base_day(base)
-    load_r, dem_r = hours_per_base_day(rg)
-    fs_b = _footsteps(base, dist, days)
-    fs_r = _footsteps(rg, dist, days)
-
-    diameters: dict[int, float] = {}
-    if clustering is not None:
-        for b in range(1, clustering.k + 1):
-            locs = clustering.locations_in(b)
-            worst = 0.0
-            for i, a in enumerate(locs):
-                for bb in locs[i + 1:]:
-                    worst = max(worst, dist.get(a, bb))
-            diameters[b] = worst
-
+    One pass over rw.source and rw.assigned. Exact because rewiring keeps
+    each visit's interval and location and each HCP's visits are disjoint
+    in both logs: the source log's chronological order walks every HCP's
+    base and rewired visits in time order, and footsteps are the distances
+    between consecutive locations.
+    """
+    src, c, days = rw.source, rw.clustering, rw.source.day_count
+    # per log: seconds per HCP, seconds per location, metres per HCP, last location per HCP
+    base, new = ((dict.fromkeys(src.hcps.ids, 0), dict.fromkeys(src.locations.ids, 0),
+                  dict.fromkeys(src.hcps.ids, 0.0), {}) for _ in range(2))
+    for v, h in zip(src.visits, rw.assigned):
+        loc, s = v.location, v.duration_s
+        for p, (hcp_s, loc_s, metres, last) in ((v.hcp, base), (h, new)):
+            if p is not None:
+                hcp_s[p] += s
+                loc_s[loc] += s
+                if p in last:
+                    metres[p] += dist.get(last[p], loc)
+                last[p] = loc
+    (hcp_b, loc_b, m_b, _), (hcp_r, loc_r, m_r, _) = base, new
+    to_h = 1.0 / (3600.0 * days)
+    fs_r = {p: m / days for p, m in m_r.items()}
     return CostReport(
-        excess_load={h: max(0.0, load_r.get(h, 0.0) - load_b.get(h, 0.0)) for h in base.hcps.ids},
-        unmet_demand={l: max(0.0, dem_b.get(l, 0.0) - dem_r.get(l, 0.0)) for l in base.locations.ids},
+        excess_load={p: max(0.0, hcp_r[p] * to_h - hcp_b[p] * to_h) for p in src.hcps.ids},
+        unmet_demand={l: max(0.0, loc_b[l] * to_h - loc_r[l] * to_h) for l in src.locations.ids},
         footsteps=fs_r,
-        excess_footsteps={h: max(0.0, fs_r.get(h, 0.0) - fs_b.get(h, 0.0)) for h in base.hcps.ids},
-        bubble_diameters=diameters,
+        excess_footsteps={p: max(0.0, fs_r[p] - m_b[p] / days) for p in src.hcps.ids},
+        bubble_diameters={
+            b: max([0.0, *(dist.get(x, y) for x, y in combinations(c.locations_in(b), 2))])
+            for b in range(1, c.k + 1)},
     )
 
 

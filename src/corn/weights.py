@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, TooLargeError
-from .model import VisitGraph, chop_intervals
+from .model import VisitGraph, chop_visit
 
 HCP_SCOPES = ("all", "ns_only")
 
@@ -76,22 +76,29 @@ def weight_matrix(
     unit_s: int,
     hcp_scope: str = "all",
 ) -> WeightMatrix:
-    """Chop the graph to unit_s and average the two directed weights per pair."""
+    """Average the two directed weights per pair over unit_s fragments of in-scope visits.
+
+    Each pair's fragments are sorted before use, so they may be collected
+    in any order; HCPs are multiplied in order of their first fragment.
+    """
     check_z(z)
-    chopped = chop_intervals(g, unit_s)
-    scope = _scope_hcps(chopped, hcp_scope)
-    # index once: hcp -> location -> sorted interval list
+    if unit_s <= 0:
+        raise ConfigError(f"unit_s must be positive, got {unit_s}")
+    scope = _scope_hcps(g, hcp_scope)
+    # index once: hcp -> location -> fragment intervals
     idx: dict[str, dict[str, list[tuple[int, int]]]] = {}
-    for v in chopped.visits:
+    for v in g.visits:
         if v.hcp in scope:
-            idx.setdefault(v.hcp, {}).setdefault(v.location, []).append((v.start_s, v.end_s))
+            idx.setdefault(v.hcp, {}).setdefault(v.location, []).extend(
+                (f.start_s, f.end_s) for f in chop_visit(v, unit_s))
+    locmaps = [idx[h] for h in sorted(idx, key=lambda h: (min(map(min, idx[h].values())), h))]
     out: dict[tuple[str, str], float] = {}
-    order = sorted(chopped.locations.substitutable)
+    order = sorted(g.locations.substitutable)
     for i, a in enumerate(order):
         for b in order[i + 1 :]:
             miss_ab = 1.0
             miss_ba = 1.0
-            for locmap in idx.values():
+            for locmap in locmaps:
                 if a not in locmap or b not in locmap:
                     continue
                 seq = sorted(
@@ -158,33 +165,6 @@ def enumerate_directed_weight(g: VisitGraph, src: str, dst: str, z: float) -> fl
         bits += (outcome >> k) & 1
     probs = (z**bits) * ((1.0 - z) ** (m - bits))
     return float(probs[dst_infected].sum())
-
-
-def mc_directed_weight(
-    g: VisitGraph, src: str, dst: str, z: float, samples: int, seed: int
-) -> float:
-    """Monte Carlo estimate of the directed weight (standard error <= 0.5/sqrt(n))."""
-    if src == dst:
-        raise ConfigError("src and dst must differ")
-    events = _event_sequence(g, src, dst)
-    if not events:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    hcps = sorted({h for _, h in events})
-    hidx = {h: i for i, h in enumerate(hcps)}
-    infected = np.zeros((samples, len(hcps)), dtype=bool)
-    dst_infected = np.zeros(samples, dtype=bool)
-    for side, h in events:
-        coin = rng.random(samples) < z
-        hi = hidx[h]
-        if side == 0:
-            infected[:, hi] |= coin
-        else:
-            pre_h = infected[:, hi].copy()
-            pre_dst = dst_infected.copy()
-            dst_infected |= pre_h & coin
-            infected[:, hi] |= pre_dst & coin
-    return float(dst_infected.mean())
 
 
 def write_weight_csv(wm: WeightMatrix, path: str | Path) -> None:

@@ -3,7 +3,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from corn.clustering import BubbleClustering
-from corn.model import NS_TYPE, HcpRoster, LocationRoster, Visit, VisitGraph
+from corn.model import NS_TYPE, HcpRoster, LocationRoster, Visit, VisitGraph, chop_visit
 
 
 def make_graph(
@@ -17,6 +17,12 @@ def make_graph(
         LocationRoster(dict(loc_kinds)),
         [Visit(s, e, h, l) for h, l, s, e in visits],
     )
+
+
+def chop_graph(g: VisitGraph, unit_s: int) -> VisitGraph:
+    """The log with every visit replaced by its unit_s fragments."""
+    return VisitGraph.build(g.hcps, g.locations,
+                            [f for v in g.visits for f in chop_visit(v, unit_s)])
 
 
 def two_room_graph(rows: list[tuple[str, str, int, int]], n_hcps: int = 1) -> VisitGraph:

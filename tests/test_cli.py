@@ -380,6 +380,19 @@ class TestExperiment:
         assert not out.exists()
         assert "k=100" in capsys.readouterr().err
 
+    def test_unmapped_room_fails_before_output(self, inputs, tmp_path, capsys):
+        spatial = json.loads((inputs / "spatial.json").read_text())
+        room = sorted(spatial["location_map"])[0]
+        del spatial["location_map"][room]
+        path = tmp_path / "spatial.json"
+        path.write_text(json.dumps(spatial))
+        out = tmp_path / "x"
+        rc = main(["experiment", *input_args(inputs), "--spatial", str(path),
+                   "--k", "2", "--rho", "0.002", "--replicates", "1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+        assert room in capsys.readouterr().err
+
     def test_defaults_are_the_dataclasses(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         tiny_spec().to_json(spec_path)

@@ -21,7 +21,6 @@ from corn.episim import (
     SimSummary,
     calibrate_rho,
     compare_runs,
-    contact_infection_prob,
     estimate_r0,
     replicates_to_csv,
     run_replicates,
@@ -33,6 +32,7 @@ from corn.episim import (
 from corn.errors import ConfigError, NotBracketedError
 
 from .conftest import make_graph, small_logs
+from .oracles import contact_infection_prob
 
 DAY = 86400
 NO_CASUAL = CasualContactModel(contacts_per_day=0.0)

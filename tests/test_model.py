@@ -10,7 +10,6 @@ from corn.model import (
     LocationRoster,
     Visit,
     VisitGraph,
-    chop_intervals,
     chop_visit,
     compute_loads_demands,
     load_hcp_roster,
@@ -23,7 +22,7 @@ from corn.model import (
     write_mobility_log,
 )
 
-from .conftest import make_graph
+from .conftest import chop_graph, make_graph
 
 
 def write_inputs(tmp_path, visit_rows, hcp_types, loc_kinds):
@@ -166,8 +165,8 @@ class TestChop:
     def test_idempotent_when_short(self):
         g = make_graph([("p1", "l1", 0, 50), ("p1", "l2", 50, 110)],
                        {"p1": "g1"}, {"l1": "s", "l2": "s"})
-        once = chop_intervals(g, 60)
-        assert chop_intervals(once, 60) == once
+        once = chop_graph(g, 60)
+        assert chop_graph(once, 60) == once
 
     @given(st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 700)), max_size=8),
            st.integers(30, 120))
@@ -179,7 +178,7 @@ class TestChop:
             rows.append(("p1", "l1", t, t + dur))
             t += dur
         g = make_graph(rows, {"p1": "g1"}, {"l1": "s"})
-        chopped = chop_intervals(g, unit)
+        chopped = chop_graph(g, unit)
         assert validate(chopped) == []
         assert sum(v.duration_s for v in chopped.visits) == sum(v.duration_s for v in g.visits)
         before = compute_loads_demands(g)

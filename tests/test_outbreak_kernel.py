@@ -38,7 +38,6 @@ from corn.episim import (
     SimConfig,
     TransmissionEvent,
     _run_replicate,
-    contact_infection_prob,
     shedding,
     simulate,
 )
@@ -47,6 +46,7 @@ from corn.rewiring import random_clustering
 from corn.synth import FacilitySpec, generate_facility, generate_mobility, zone_clustering
 
 from .conftest import make_graph
+from .oracles import contact_infection_prob
 
 PINNED = Path(__file__).parent / "data" / "pinned_replicates.json"
 PINNED_REPLICATES = 30

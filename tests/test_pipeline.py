@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,12 @@ import pytest
 
 from corn.clustering import load_clustering
 from corn.episim import ContactSchedule, DiseaseParams, SimConfig, estimate_r0, simulate
+from corn.optimizer import ClusterInstance, verify_clustering
 from corn.pipeline import ExperimentConfig, derive_seed, run_experiment
 from corn.rewiring import compute_costs, random_clustering, rewire, write_cost_csv
 from corn.spatial import shortest_path_metric
 from corn.synth import FacilitySpec, generate_facility, generate_mobility
+from corn.weights import weight_matrix
 
 SPEC = FacilitySpec(
     rooms=6, hallway_nodes=3, hcp_groups=(("n", 4),),
@@ -32,6 +35,11 @@ SPEC = FacilitySpec(
 CFG = ExperimentConfig(
     facility=SPEC, k_list=(1, 2), replicates=5, seed=0, target_r0=1.0,
     calibration_replicates=40, cost_rewirings=3,
+)
+# the same facility with a second substitutable group
+TWO_GROUPS = ExperimentConfig(
+    facility=replace(SPEC, hcp_groups=(("n", 4), ("a", 3))), k_list=(2,), replicates=8,
+    seed=0, rho=0.002, cost_rewirings=1,
 )
 # spawn keys of the pipeline's seed namespaces
 NS_REWIRE = {"corn": 2, "random": 3}
@@ -111,7 +119,7 @@ class TestCostRows:
                 c = random_clustering(g.hcps, g.locations.substitutable, k,
                                       seed=derive_seed(CFG.seed, NS_CLUSTER_RANDOM, k, r))
             rw = rewire(g, c, seed=derive_seed(CFG.seed, NS_REWIRE[method], k, r))
-            rep = compute_costs(g, rw, dist)
+            rep = compute_costs(rw, dist)
             want = {
                 "excess_load_mean_h_per_day": np.mean(list(rep.excess_load.values())),
                 "unmet_demand_mean_h_per_day": np.mean(list(rep.unmet_demand.values())),
@@ -129,3 +137,43 @@ class TestCostRows:
                             == (tmp_path / f"{part}.csv").read_bytes())
         for key, mean in got["means"].items():
             assert mean == pytest.approx(np.mean([row[key] for row in got["per_rewiring"]]))
+
+
+class TestTwoGroups:
+    """An experiment whose roster has two substitutable groups, end to end."""
+
+    @pytest.fixture(scope="class")
+    def study(self, tmp_path_factory):
+        cfg = TWO_GROUPS
+        result = run_experiment(cfg, tmp_path_factory.mktemp("groups") / "out")
+        return cfg, result, generate_mobility(generate_facility(cfg.facility), cfg.facility)
+
+    def test_clustering_verifies(self, study):
+        cfg, result, g = study
+        params = json.loads((result.out_dir / "reports" / "params.json").read_text())
+        w = weight_matrix(g, params["z_per_interval"], cfg.unit_s, hcp_scope=cfg.hcp_scope)
+        inst = ClusterInstance(weights=w, hcps=g.hcps, k=2)
+        assert verify_clustering(result.clusterings[2], inst) == []
+
+    @pytest.mark.parametrize("method", ["corn", "random"])
+    def test_rewired_visits_keep_their_group(self, study, method):
+        cfg, result, g = study
+        types = g.hcps.types
+        moved = set()
+        for r in range(cfg.replicates):
+            c = result.clusterings[2] if method == "corn" else random_clustering(
+                g.hcps, g.locations.substitutable, 2,
+                seed=derive_seed(cfg.seed, NS_CLUSTER_RANDOM, 2, r))
+            rw = rewire(g, c, seed=derive_seed(cfg.seed, NS_REWIRE[method], 2, r))
+            for v, h in zip(g.visits, rw.assigned):
+                if h is not None:
+                    assert types[h] == types[v.hcp]
+                    if h != v.hcp:
+                        moved.add(types[h])
+        assert moved == {"n", "a"}
+
+    def test_seeds_come_from_the_first_group(self, study):
+        _, result, g = study
+        seeds = {r.seed_agent for s in result.summaries.values() for r in s.results}
+        assert seeds <= set(g.hcps.members("n"))
+        assert set(result.summaries) == {"baseline", "corn_k2", "random_k2"}

@@ -52,7 +52,7 @@ class TestGoldenInstance:
     def test_unmet_and_excess(self, seed):
         g = golden_graph()
         rw = rewire(g, golden_clustering(), seed=seed)
-        rep = compute_costs(g, rw, flat_metric(["l1", "l2", "l3", "l4"]))
+        rep = compute_costs(rw, flat_metric(["l1", "l2", "l3", "l4"]))
         assert rep.unmet_demand["l4"] == pytest.approx(2.0)
         assert rep.unmet_demand["l1"] == 0.0
         assert rep.unmet_demand["l2"] == 0.0
@@ -182,45 +182,125 @@ class TestConservation:
         dist = flat_metric(["l1", "l2", "l3", "l4"])
         for seed in range(5):
             rw = rewire(g, golden_clustering(), seed=seed)
-            rep = compute_costs(g, rw, dist)
+            rep = compute_costs(rw, dist)
             base = compute_loads_demands(g).demands
             met = compute_loads_demands(rw.graph).demands
             for l in ("l1", "l2", "l3", "l4"):
                 assert met.get(l, 0.0) + rep.unmet_demand[l] == pytest.approx(base[l])
 
 
+def brute_costs(rw, dist: DistanceMatrix) -> dict[str, dict]:
+    """compute_costs recomputed from the two logs: each HCP's visits sorted by
+    start, durations and distances summed, per day of the source log."""
+    days = rw.source.day_count
+
+    def tallies(g):
+        hours = {h: 0.0 for h in g.hcps.ids}
+        demand = {l: 0.0 for l in g.locations.ids}
+        metres = {h: 0.0 for h in g.hcps.ids}
+        for h in g.hcps.ids:
+            mine = sorted((v for v in g.visits if v.hcp == h), key=lambda v: v.start_s)
+            hours[h] = sum(v.duration_s for v in mine) / 3600 / days
+            metres[h] = sum(dist.get(u.location, v.location)
+                            for u, v in zip(mine, mine[1:])) / days
+        for v in g.visits:
+            demand[v.location] += v.duration_s / 3600 / days
+        return hours, demand, metres
+
+    (load_b, dem_b, fs_b), (load_r, dem_r, fs_r) = tallies(rw.source), tallies(rw.graph)
+    return {
+        "excess_load": {h: max(0.0, load_r[h] - load_b[h]) for h in load_b},
+        "unmet_demand": {l: max(0.0, dem_b[l] - dem_r[l]) for l in dem_b},
+        "footsteps": fs_r,
+        "excess_footsteps": {h: max(0.0, fs_r[h] - fs_b[h]) for h in fs_b},
+    }
+
+
+@st.composite
+def small_metrics(draw) -> DistanceMatrix:
+    locs = ("hall", "r1", "r2", "r3")
+    d = {(a, a): 0.0 for a in locs}
+    for i, a in enumerate(locs):
+        for b in locs[i + 1:]:
+            d[(a, b)] = d[(b, a)] = float(draw(st.integers(0, 60)))
+    return DistanceMatrix(locations=locs, dist=d)
+
+
 class TestCosts:
     def test_identity_rewiring_zero_cost(self):
+        # one bubble with same-bubble visits kept: every visit stays with its HCP
         g = golden_graph()
-        rep = compute_costs(g, g, flat_metric(["l1", "l2", "l3", "l4"]))
+        one = BubbleClustering(k=1, location_bubble=dict.fromkeys(g.locations.substitutable, 1),
+                               hcp_bubble=dict.fromkeys(g.hcps.substitutable, 1))
+        rw = rewire(g, one, seed=0, keep_same_bubble_hcp=True)
+        assert rw.assigned == tuple(v.hcp for v in g.visits)
+        rep = compute_costs(rw, flat_metric(["l1", "l2", "l3", "l4"]))
         assert all(v == 0.0 for v in rep.excess_load.values())
         assert all(v == 0.0 for v in rep.unmet_demand.values())
         assert all(v == 0.0 for v in rep.excess_footsteps.values())
 
     def test_footsteps_from_transitions(self):
-        # consecutive distinct rooms 12 m apart vs staying put
-        locs = ["la", "lb"]
+        # p1 stays in la at the base; rewiring hands it p2's later visit to lb, 12 m away
         dist = DistanceMatrix(locations=("la", "lb"),
                               dist={("la", "la"): 0.0, ("lb", "lb"): 0.0,
                                     ("la", "lb"): 12.0, ("lb", "la"): 12.0})
-        base = make_graph([("p1", "la", 0, 60), ("p1", "la", 120, 180)],
-                          {"p1": "g1"}, {"la": "s", "lb": "s"})
-        moved = make_graph([("p1", "la", 0, 60), ("p1", "lb", 120, 180)],
-                           {"p1": "g1"}, {"la": "s", "lb": "s"})
-        rep = compute_costs(base, moved, dist)
+        base = make_graph([("p1", "la", 0, 60), ("p2", "lb", 120, 180)],
+                          {"p1": "g1", "p2": "g1"}, {"la": "s", "lb": "s", "lc": "s"})
+        c = BubbleClustering(k=2, location_bubble={"la": 1, "lb": 1, "lc": 2},
+                             hcp_bubble={"p1": 1, "p2": 2})
+        rw = rewire(base, c, seed=0)
+        assert rw.assigned == ("p1", "p1")
+        rep = compute_costs(rw, dist)
         assert rep.footsteps["p1"] == pytest.approx(12.0)
         assert rep.excess_footsteps["p1"] == pytest.approx(12.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_logs(), small_metrics(), st.integers(0, 2**16))
+    def test_matches_brute_force(self, log, dist, seed):
+        g, c, keep = log
+        rw = rewire(g, c, seed=seed, keep_same_bubble_hcp=keep)
+        rep = compute_costs(rw, dist)
+        want = brute_costs(rw, dist)
+        for name, values in want.items():
+            got = getattr(rep, name)
+            assert list(got) == list(values)
+            assert got == pytest.approx(values, rel=1e-12, abs=1e-12)
+
+    def test_last_day_dropped_uses_source_days(self):
+        # q1's only day-2 visit has no gb HCP in bubble 2, so the rewiring
+        # spans one day; every figure is still per day of the two-day source
+        rows = [("p1", "l1", 0, 3600), ("p1", "l2", 7200, 9000),
+                ("q1", "l1", 3600, 7200), ("q1", "l2", 86400, 90000),
+                ("p2", "l2", 0, 1800), ("p2", "hall", 3600, 5400)]
+        g = make_graph(rows, {"p1": "ga", "q1": "gb", "p2": "ga"},
+                       {"l1": "s", "l2": "s", "hall": "ns"})
+        c = BubbleClustering(k=2, location_bubble={"l1": 1, "l2": 2},
+                             hcp_bubble={"p1": 1, "q1": 1, "p2": 2})
+        rw = rewire(g, c, seed=0)
+        assert rw.assigned == ("p2", "p1", "p2", "q1", "p2", None)
+        assert (rw.source.day_count, rw.graph.day_count) == (2, 1)
+        d = {("l1", "l2"): 10.0, ("l1", "hall"): 4.0, ("l2", "hall"): 6.0}
+        d.update({(b, a): x for (a, b), x in list(d.items())})
+        d.update({(l, l): 0.0 for l in ("l1", "l2", "hall")})
+        rep = compute_costs(rw, DistanceMatrix(locations=("hall", "l1", "l2"), dist=d))
+        # hours: base p1 1.5, q1 2, p2 1; rewired p1 1, q1 1, p2 1.5
+        assert rep.excess_load == {"p1": 0.0, "q1": 0.0, "p2": 0.25}
+        # l2 loses q1's hour on day 2
+        assert rep.unmet_demand == {"l1": 0.0, "l2": 0.5, "hall": 0.0}
+        # rewired p2 walks l2 -> hall -> l2 (12 m); at the base it walked l2 -> hall (6 m)
+        assert rep.footsteps == {"p1": 0.0, "q1": 0.0, "p2": 6.0}
+        assert rep.excess_footsteps == {"p1": 0.0, "q1": 0.0, "p2": 3.0}
 
     def test_bubble_diameters_reported(self):
         g = golden_graph()
         rw = rewire(g, golden_clustering(), seed=0)
-        rep = compute_costs(g, rw, flat_metric(["l1", "l2", "l3", "l4"], d=7.5))
+        rep = compute_costs(rw, flat_metric(["l1", "l2", "l3", "l4"], d=7.5))
         assert rep.bubble_diameters == {1: 7.5, 2: 7.5}
 
     def test_csv_export(self, tmp_path):
         g = golden_graph()
         rw = rewire(g, golden_clustering(), seed=0)
-        rep = compute_costs(g, rw, flat_metric(["l1", "l2", "l3", "l4"]))
+        rep = compute_costs(rw, flat_metric(["l1", "l2", "l3", "l4"]))
         write_cost_csv(rep, tmp_path / "hcp.csv", tmp_path / "loc.csv")
         hcp_lines = (tmp_path / "hcp.csv").read_text().splitlines()
         assert hcp_lines[0].startswith("hcp_id,")

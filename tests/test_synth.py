@@ -222,7 +222,7 @@ class TestZoneClustering:
         assert rw.graph == g
         assert rw.dropped_count == 0
         dist = shortest_path_metric(fac[0])
-        rep = compute_costs(g, rw, dist)
+        rep = compute_costs(rw, dist)
         assert all(v == 0.0 for v in rep.excess_load.values())
         assert all(v == 0.0 for v in rep.unmet_demand.values())
 

@@ -10,16 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corn.errors import ConfigError, TooLargeError
-from corn.model import chop_intervals
 from corn.weights import (
     enumerate_directed_weight,
-    mc_directed_weight,
     weight_matrix,
     write_weight_csv,
     z_from_rho,
 )
 
-from .conftest import make_graph, two_room_graph
+from .conftest import chop_graph, make_graph, two_room_graph
+from .oracles import mc_directed_weight
 
 
 def random_pair_graph(rng: np.random.Generator, max_hcps: int = 4, max_intervals: int = 6):
@@ -136,8 +135,23 @@ class TestWeightMatrix:
     def test_chops_internally(self):
         # long visits count once per unit interval, as the chopped log does
         g = two_room_graph([("p1", "la", 0, 600), ("p1", "lb", 600, 1200)])
-        want = both_ways(enumerate_directed_weight, chop_intervals(g, 60), 0.1)
+        want = both_ways(enumerate_directed_weight, chop_graph(g, 60), 0.1)
         assert pair_weight(g, 0.1) == pytest.approx(want, abs=1e-12)
+
+    def test_hcps_combine_in_order_of_first_fragment(self):
+        # h1's and h2's first fragments tie at [60, 120); taking h2 first, as the
+        # unchopped log lists it, moves the last bits of the product over HCPs
+        rows = [("h0", "lb", 0, 60), ("h0", "la", 60, 180), ("h1", "lb", 60, 240),
+                ("h1", "la", 300, 420), ("h2", "lb", 60, 120), ("h2", "la", 120, 300)]
+        g = make_graph(rows, {"h0": "g1", "h1": "g1", "h2": "g1"}, {"la": "s", "lb": "s"})
+        assert weight_matrix(g, 0.1, 60).w == weight_matrix(chop_graph(g, 60), 0.1, 60).w
+
+    def test_checks_in_order(self):
+        g = two_room_graph([("p1", "la", 0, 60), ("p1", "lb", 60, 120)])
+        for z, unit, scope, message in ((2.0, 0, "bad", "z must"), (0.5, 0, "bad", "unit_s"),
+                                        (0.5, -60, "all", "unit_s"), (0.5, 60, "bad", "hcp_scope")):
+            with pytest.raises(ConfigError, match=message):
+                weight_matrix(g, z, unit, hcp_scope=scope)
 
     def test_ns_only_scope(self):
         rows = [("p1", "la", 0, 60), ("p1", "lb", 60, 120),
