@@ -257,7 +257,7 @@ def cmd_simulate(args, argv) -> int:
         args.rho, args.replicates, args.seed)
     if args.rewire and clustering is None:
         raise ConfigError("--rewire needs --clustering")
-    g = rewire(graph, clustering, seed=args.seed).graph if args.rewire else graph
+    g = rewire(graph, clustering, seed=args.seed) if args.rewire else graph
     k = clustering.k if clustering is not None else None
     m = _start_manifest("simulate", argv, cfg.echo("sim", g, k), args.seed,
                         _input_hashes(args, ("hcps", "locations", "visits", "clustering")))

@@ -22,6 +22,10 @@ Coins are predrawn per contact event, scheduled then casual, which couples
 runs across infectivity values: raising rho can only turn misses into hits
 for a fixed seed agent, which estimate_r0 relies on during calibration.
 
+A replicate replays a ContactSchedule, built with numpy from the log's
+columns. A RewiredGraph's columns are the rewired log's, re-sorted from
+its source's, so simulating a rewiring never builds the rewired log.
+
 Agents are the roster's HCPs plus one static resident per substitutable
 room, named by the room. Every outbreak is seeded in a member of the
 roster's first substitutable group. Casual HCP-HCP contacts model mixing
@@ -40,7 +44,6 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -48,7 +51,7 @@ import numpy as np
 
 from .clustering import BubbleClustering
 from .errors import ConfigError, NotBracketedError, check_nonnegative
-from .model import SECONDS_PER_DAY, VisitGraph
+from .model import SECONDS_PER_DAY, VisitGraph, name_ranks
 from .rewiring import RewiredGraph, check_coverage
 
 CASUAL_LOCATION = "casual"
@@ -120,11 +123,11 @@ class SimConfig:
         if self.horizon_days is not None and self.horizon_days < 1:
             raise ConfigError("horizon_days must be >= 1")
 
-    def horizon(self, g: VisitGraph) -> int:
+    def horizon(self, g: VisitGraph | RewiredGraph) -> int:
         """horizon_days, or the log's own day count when it is unset."""
         return self.horizon_days if self.horizon_days is not None else g.day_count
 
-    def echo(self, label: str, g: VisitGraph, k: int | None) -> dict:
+    def echo(self, label: str, g: VisitGraph | RewiredGraph, k: int | None) -> dict:
         """The settings a summary of replicates on g records next to its aggregates."""
         d, c = self.disease, self.casual
         return {
@@ -167,22 +170,28 @@ class SimSummary:
 
 
 class ContactSchedule:
-    """Precomputed contact events of one visit graph, in (t, a, b, location) order.
+    """Precomputed contact events of one visit log, in (t, a, b, location) order.
 
     Each visit to a substitutable room is a contact between its HCP (a) and
     the room's resident (b). Each pair of overlapping visits by different
     HCPs at one location is a contact between the earlier visit's HCP (a)
-    and the later one's (b), at the start of the later visit (t). Events
-    that tie on the whole key keep the order they are built in.
+    and the later one's (b), at the start of the later visit (t); earlier
+    means earlier in graph order, so two visits with equal start and end
+    are ordered by HCP name. Events that tie on the whole key keep their
+    build order: resident events in graph order, then pairs by later visit,
+    then by earlier visit.
+
+    The events come from g.columns, so a RewiredGraph, whose columns are
+    the rewired log's, gives the schedule of rw.graph without building it.
+    graph is the log the schedule was built from, of either type.
     """
 
-    def __init__(self, g: VisitGraph):
+    def __init__(self, g: VisitGraph | RewiredGraph):
         self.graph = g
         self.hcp_ids = g.hcps.ids
         self.hcp_index = {h: i for i, h in enumerate(self.hcp_ids)}
         self.rooms = g.locations.substitutable
         nh = len(self.hcp_ids)
-        self.resident_index = {room: nh + i for i, room in enumerate(self.rooms)}
         self.n_agents = nh + len(self.rooms)
         self.agent_ids = tuple(self.hcp_ids) + tuple(self.rooms)
         # outbreaks start in the first substitutable group
@@ -191,33 +200,49 @@ class ContactSchedule:
             raise ConfigError("no substitutable HCP group to seed from")
         self.seed_members = tuple(self.hcp_index[h] for h in g.hcps.members(labels[0]))
 
-        hi, ri = self.hcp_index, self.resident_index
-        # (t, a, b, location, minutes, HCP-HCP); only HCP-HCP contacts are bubble-damped
-        events = [(v.start_s, hi[v.hcp], ri[v.location], v.location, v.duration_s / 60.0, False)
-                  for v in g.visits if v.location in ri]
-        open_at: dict[str, list] = {}  # per location, the visits a later one may overlap
-        for v in g.visits:  # graph order is chronological
-            here = [o for o in open_at.get(v.location, ()) if o.end_s > v.start_s]
-            for o in here:
-                overlap_s = min(o.end_s, v.end_s) - v.start_s
-                if overlap_s > 0 and o.hcp != v.hcp:
-                    events.append((v.start_s, hi[o.hcp], hi[v.hcp], v.location,
-                                   overlap_s / 60.0, True))
-            open_at[v.location] = here + [v]
+        loc_ids = g.locations.ids
+        n_loc, loc_rank = len(loc_ids), name_ranks(loc_ids)
+        start, end, hcp, loc = g.columns
+        n = len(start)
+        resident = np.full(len(loc_ids), -1, dtype=np.int64)
+        resident[[loc_ids.index(r) for r in self.rooms]] = np.arange(nh, self.n_agents)
 
-        events.sort(key=itemgetter(0, 1, 2, 3))  # stable, so ties keep their build order
-        # one structured array, not zip(*events): zip holds an iterator per event, and
-        # tens of thousands of them reach the oldest GC generation and set off full collections
-        ev = np.array(events, dtype=[("t", np.int64), ("a", np.int64), ("b", np.int64),
-                                     ("loc", object), ("dur", float), ("hh", bool)])
+        # overlapping pairs: by location, later visits in graph order (the starts are
+        # sorted) from each visit to the last one that starts before it ends
+        by_loc = np.argsort(loc * n + np.arange(n))
+        t0 = int(start.min(initial=0))
+        span = max(int(end.max(initial=0)), int(start.max(initial=0))) - t0 + 1
+        key = loc[by_loc] * span + (start[by_loc] - t0)
+        last = np.searchsorted(key, loc[by_loc] * span + (end[by_loc] - t0))
+        count = np.maximum(last - np.arange(n) - 1, 0)
+        first = np.repeat(np.arange(n), count)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+        o, v = by_loc[first], by_loc[first + 1 + offset]
+        overlap_s = np.minimum(end[o], end[v]) - start[v]
+        ok = (overlap_s > 0) & (hcp[o] != hcp[v])
+        o, v, overlap_s = o[ok], v[ok], overlap_s[ok]
+
+        room = (resident[loc] >= 0).nonzero()[0]
+        n_res = len(room)
+        ev_v = np.concatenate((room, v))  # the later visit; resident events have one
+        ev_o = np.concatenate((room, o))
+        ev_l = loc[ev_v]
+        t = start[ev_v]
+        a = np.concatenate((hcp[room], hcp[o]))
+        b = np.concatenate((resident[loc[room]], hcp[v]))
+        # sort on (t, a, b, location), then on the build order: resident and pair
+        # events never tie, since b is a resident in the one and an HCP in the other
+        order = np.lexsort((ev_v * n + ev_o, (a * self.n_agents + b) * n_loc + loc_rank[ev_l], t))
+        dur = np.concatenate(((end[room] - start[room]) / 60.0, overlap_s / 60.0))
+        hh = np.arange(len(order)) >= n_res  # only HCP-HCP contacts are bubble-damped
         self.ev_t, self.ev_a, self.ev_b, self.ev_dur, self.ev_hh = (
-            np.ascontiguousarray(ev[f]) for f in ("t", "a", "b", "dur", "hh"))
+            x[order] for x in (t, a, b, dur, hh))
         self.ev_day = self.ev_t // SECONDS_PER_DAY
-        self.ev_loc = tuple(ev["loc"])
-        self.n_events = len(events)
+        self.ev_loc = tuple(np.array(loc_ids, dtype=object)[ev_l[order]])
+        self.n_events = len(order)
 
 
-def build_contact_schedule(g: VisitGraph) -> ContactSchedule:
+def build_contact_schedule(g: VisitGraph | RewiredGraph) -> ContactSchedule:
     return ContactSchedule(g)
 
 
@@ -404,12 +429,13 @@ def run_replicates(job: Callable[[int], Any], n: int) -> list:
 
 
 def _resolve(g: VisitGraph | RewiredGraph,
-             clustering: BubbleClustering | None) -> tuple[VisitGraph, BubbleClustering | None]:
+             clustering: BubbleClustering | None) -> BubbleClustering | None:
+    """The clustering to simulate g under: a rewiring's own, or the one given."""
     if isinstance(g, RewiredGraph):
-        if clustering is not None and clustering is not g.clustering:
+        if clustering is not None and clustering != g.clustering:
             raise ConfigError("clustering argument conflicts with the rewired graph's own")
-        return g.graph, g.clustering
-    return g, clustering
+        return g.clustering
+    return clustering
 
 
 def _aggregate(label: str, results: list[ReplicateResult], cfg_echo: dict) -> SimSummary:
@@ -438,15 +464,15 @@ def simulate(
     label: str = "sim",
 ) -> SimSummary:
     cfg.check()
-    graph, clustering = _resolve(g, clustering)
+    clustering = _resolve(g, clustering)
     if clustering is not None:
-        check_coverage(graph, clustering)
-    sched = build_contact_schedule(graph)
-    horizon = cfg.horizon(graph)
+        check_coverage(g, clustering)
+    sched = build_contact_schedule(g)
+    horizon = cfg.horizon(g)
     results = run_replicates(lambda rep: _run_replicate(sched, clustering, cfg, horizon, rep),
                              cfg.replicates)
     k = clustering.k if clustering is not None else None
-    return _aggregate(label, results, cfg.echo(label, graph, k))
+    return _aggregate(label, results, cfg.echo(label, g, k))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,13 @@ are reported in hours per day, where the day count is ceil(max end / 86400).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 
@@ -87,6 +90,15 @@ class LocationRoster:
         return tuple(l for l, k in self.kinds.items() if k != KIND_SUBSTITUTABLE)
 
 
+class VisitColumns(NamedTuple):
+    """A log's visits as int64 arrays, in graph order."""
+
+    start: np.ndarray
+    end: np.ndarray
+    hcp: np.ndarray  # index into hcps.ids
+    location: np.ndarray  # index into locations.ids
+
+
 @dataclass(frozen=True)
 class VisitGraph:
     """Immutable bipartite visit multigraph over an HCP and a location roster."""
@@ -99,13 +111,34 @@ class VisitGraph:
     def build(hcps: HcpRoster, locations: LocationRoster, visits: Iterable[Visit]) -> "VisitGraph":
         return VisitGraph(hcps, locations, tuple(sorted(visits)))
 
+    @functools.cached_property
+    def columns(self) -> VisitColumns:
+        """The visits as columns, built on first read; every visit's ids must be on the rosters."""
+        hi = {h: i for i, h in enumerate(self.hcps.ids)}
+        li = {l: i for i, l in enumerate(self.locations.ids)}
+        rows = np.array([(v.start_s, v.end_s, hi[v.hcp], li[v.location]) for v in self.visits],
+                        dtype=np.int64).reshape(-1, 4)
+        return VisitColumns(*(np.ascontiguousarray(c) for c in rows.T))
+
     @property
     def max_end_s(self) -> int:
         return max((v.end_s for v in self.visits), default=0)
 
     @property
     def day_count(self) -> int:
-        return max(1, math.ceil(self.max_end_s / SECONDS_PER_DAY))
+        return days_spanned(self.max_end_s)
+
+
+def days_spanned(max_end_s: int) -> int:
+    """The day count of a log whose last visit ends at max_end_s: at least one."""
+    return max(1, math.ceil(max_end_s / SECONDS_PER_DAY))
+
+
+def name_ranks(names: tuple[str, ...]) -> np.ndarray:
+    """Each name's position in sorted order, so sorting indices by rank sorts by name."""
+    ranks = np.empty(len(names), dtype=np.int64)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -249,24 +282,25 @@ def compute_loads_demands(g: VisitGraph) -> LoadDemandTable:
     )
 
 
-def chop_visit(v: Visit, unit_s: int) -> list[Visit]:
-    """Split one visit into unit-length fragments.
+def chop_points(start_s: int, end_s: int, unit_s: int) -> list[int]:
+    """Bounds of the unit-length fragments of [start_s, end_s), both ends included.
 
     A final fragment shorter than unit/2 is merged into the previous one;
-    a fragment of at least unit/2 stands alone. A lone visit shorter than
+    a fragment of at least unit/2 stands alone. An interval no longer than
     the unit is kept whole.
     """
-    d = v.duration_s
+    d = end_s - start_s
     if d <= unit_s:
-        return [v]
+        return [start_s, end_s]
     q, r = divmod(d, unit_s)
-    if r == 0:
-        starts = q
-    elif 2 * r >= unit_s:
-        starts = q + 1  # remainder stands alone
-    else:
-        starts = q  # last full fragment absorbs the remainder
-    cuts = [v.start_s + i * unit_s for i in range(starts)] + [v.end_s]
+    if r and 2 * r >= unit_s:
+        q += 1  # remainder stands alone; otherwise the last full fragment absorbs it
+    return [*range(start_s, start_s + q * unit_s, unit_s), end_s]
+
+
+def chop_visit(v: Visit, unit_s: int) -> list[Visit]:
+    """Split one visit into the fragments chop_points gives."""
+    cuts = chop_points(v.start_s, v.end_s, unit_s)
     return [Visit(a, b, v.hcp, v.location) for a, b in zip(cuts, cuts[1:])]
 
 

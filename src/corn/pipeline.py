@@ -211,7 +211,7 @@ def _arm_job(arm: _Arm, rep: int):
         rw_seed = derive_seed(arm.master_seed, _NS_REWIRE_CORN, k, rep)
     rw = rewire(graph, clustering, seed=rw_seed,
                 keep_same_bubble_hcp=arm.keep_same_bubble_hcp)
-    result = _run_replicate(build_contact_schedule(rw.graph), clustering, arm.sim,
+    result = _run_replicate(build_contact_schedule(rw), clustering, arm.sim,
                             arm.sim.horizon(graph), rep)
     if rep >= arm.cost_rewirings:
         return result, None, None

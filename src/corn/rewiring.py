@@ -15,11 +15,17 @@ make these two checks exact. The graph's visits are in chronological
 order, as VisitGraph.build sorts them, so unpinned claims arrive in start
 order. And each HCP's own visits are disjoint, as validate() enforces, so
 p's pinned intervals, taken in graph order, are sorted and disjoint.
+
+A rewiring is its source log plus assigned, the HCP of each source visit.
+Contact schedules read RewiredGraph.columns, the rewired log's columns
+re-sorted from the source's; cost reports read the source log's columns
+with assigned. RewiredGraph.graph builds the rewired log only on first read.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from itertools import combinations
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,24 +34,74 @@ import numpy as np
 
 from .clustering import BubbleClustering, canonicalize
 from .errors import ClusteringMismatchError
-from .model import HcpRoster, Visit, VisitGraph
+from .model import (HcpRoster, LocationRoster, Visit, VisitColumns, VisitGraph, days_spanned,
+                    name_ranks)
 from .optimizer.model import check_k
 from .spatial import DistanceMatrix
 
 
 @dataclass(frozen=True)
 class RewiredGraph:
+    """A rewiring of source: the HCP each source visit goes to, if any.
+
+    Rewiring keeps every visit's interval and location, so the source log's
+    columns and assigned describe the rewired log. Like a VisitGraph it
+    gives hcps, locations, columns and day_count; graph builds the rewired
+    log as a VisitGraph on first read, for checks against these.
+    """
+
     source: VisitGraph
-    graph: VisitGraph
     clustering: BubbleClustering
     assigned: tuple[str | None, ...]  # per source visit; None means dropped
+
+    @property
+    def hcps(self) -> HcpRoster:
+        return self.source.hcps
+
+    @property
+    def locations(self) -> LocationRoster:
+        return self.source.locations
 
     @property
     def dropped_count(self) -> int:
         return sum(1 for h in self.assigned if h is None)
 
+    @functools.cached_property
+    def assigned_index(self) -> np.ndarray:
+        """assigned as int64 indices into source.hcps.ids, -1 where dropped."""
+        hi = {h: i for i, h in enumerate(self.source.hcps.ids)}
+        hi[None] = -1
+        return np.array([hi[h] for h in self.assigned], dtype=np.int64)
 
-def check_coverage(g: VisitGraph, c: BubbleClustering) -> None:
+    @functools.cached_property
+    def columns(self) -> VisitColumns:
+        """The rewired log's columns: each kept visit under its new HCP, in VisitGraph.build order."""
+        start, end, _, loc = self.source.columns
+        kept = self.assigned_index >= 0
+        start, end, hcp, loc = start[kept], end[kept], self.assigned_index[kept], loc[kept]
+        # the source is sorted by (start, end), so only runs of equal (start, end)
+        # move: VisitGraph.build orders each run by HCP name, then location name
+        n_loc = len(self.locations.ids)
+        run = np.cumsum((start[1:] != start[:-1]) | (end[1:] != end[:-1]))
+        key = name_ranks(self.hcps.ids)[hcp] * n_loc + name_ranks(self.locations.ids)[loc]
+        key[1:] += run * (len(self.hcps.ids) * n_loc)
+        order = np.argsort(key, kind="stable")
+        return VisitColumns(start[order], end[order], hcp[order], loc[order])
+
+    @property
+    def day_count(self) -> int:
+        return days_spanned(int(self.columns.end.max(initial=0)))
+
+    @functools.cached_property
+    def graph(self) -> VisitGraph:
+        """The rewired log: each kept visit under its new HCP, in VisitGraph.build order."""
+        src = self.source
+        return VisitGraph.build(src.hcps, src.locations, [
+            Visit(v.start_s, v.end_s, h, v.location)
+            for v, h in zip(src.visits, self.assigned) if h is not None])
+
+
+def check_coverage(g: VisitGraph | RewiredGraph, c: BubbleClustering) -> None:
     """ClusteringMismatchError unless c places exactly the substitutable rooms and HCPs of g."""
     want_locs = set(g.locations.substitutable)
     if set(c.location_bubble) != want_locs:
@@ -100,17 +156,7 @@ def rewire(
         assigned[i] = pick
         last_end[pick] = v.end_s
 
-    kept = [
-        Visit(v.start_s, v.end_s, h, v.location)
-        for v, h in zip(g.visits, assigned)
-        if h is not None
-    ]
-    return RewiredGraph(
-        source=g,
-        graph=VisitGraph.build(g.hcps, g.locations, kept),
-        clustering=clustering,
-        assigned=tuple(assigned),
-    )
+    return RewiredGraph(source=g, clustering=clustering, assigned=tuple(assigned))
 
 
 def random_clustering(
@@ -160,35 +206,44 @@ class CostReport:
 
 
 def compute_costs(rw: RewiredGraph, dist: DistanceMatrix) -> CostReport:
-    """Costs of rw.graph against rw.source, per day of the source log.
+    """Costs of the rewired log against rw.source, per day of the source log.
 
-    One pass over rw.source and rw.assigned. Exact because rewiring keeps
-    each visit's interval and location and each HCP's visits are disjoint
-    in both logs: the source log's chronological order walks every HCP's
-    base and rewired visits in time order, and footsteps are the distances
-    between consecutive locations.
+    Read from the source log's columns and rw.assigned_index. Exact because
+    rewiring keeps each visit's interval and location and each HCP's visits
+    are disjoint in both logs: the source log's chronological order walks
+    every HCP's base and rewired visits in time order, and footsteps are
+    the distances between consecutive locations. np.bincount adds each bin
+    in input order, so every sum is added in source order, as a loop over
+    the visits would add it.
     """
     src, c, days = rw.source, rw.clustering, rw.source.day_count
-    # per log: seconds per HCP, seconds per location, metres per HCP, last location per HCP
-    base, new = ((dict.fromkeys(src.hcps.ids, 0), dict.fromkeys(src.locations.ids, 0),
-                  dict.fromkeys(src.hcps.ids, 0.0), {}) for _ in range(2))
-    for v, h in zip(src.visits, rw.assigned):
-        loc, s = v.location, v.duration_s
-        for p, (hcp_s, loc_s, metres, last) in ((v.hcp, base), (h, new)):
-            if p is not None:
-                hcp_s[p] += s
-                loc_s[loc] += s
-                if p in last:
-                    metres[p] += dist.get(last[p], loc)
-                last[p] = loc
-    (hcp_b, loc_b, m_b, _), (hcp_r, loc_r, m_r, _) = base, new
+    start, end, base_hcp, loc = src.columns
+    kept = rw.assigned_index >= 0
+    new_hcp, new_loc = rw.assigned_index[kept], loc[kept]
+    secs = end - start
+    hcps, locs = src.hcps.ids, src.locations.ids
+    nh = len(hcps)
+    hcp_b, hcp_r = np.bincount(base_hcp, secs, nh), np.bincount(new_hcp, secs[kept], nh)
+    loc_b = np.bincount(loc, secs, len(locs))
+    loc_r = np.bincount(new_loc, secs[kept], len(locs))
+
+    def metres(hcp: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Per HCP, the distances between its consecutive locations, summed in source order."""
+        order = np.argsort(hcp, kind="stable")
+        hcp, at = hcp[order], at[order]
+        step = (hcp[1:] == hcp[:-1]).nonzero()[0]
+        moves = at[step] * len(locs) + at[step + 1]
+        pairs, which = np.unique(moves, return_inverse=True)
+        d = np.array([dist.get(locs[m // len(locs)], locs[m % len(locs)]) for m in pairs.tolist()])
+        return np.bincount(hcp[step + 1], d[which.reshape(-1)], nh)
+
     to_h = 1.0 / (3600.0 * days)
-    fs_r = {p: m / days for p, m in m_r.items()}
+    fs_b, fs_r = metres(base_hcp, loc) / days, metres(new_hcp, new_loc) / days
     return CostReport(
-        excess_load={p: max(0.0, hcp_r[p] * to_h - hcp_b[p] * to_h) for p in src.hcps.ids},
-        unmet_demand={l: max(0.0, loc_b[l] * to_h - loc_r[l] * to_h) for l in src.locations.ids},
-        footsteps=fs_r,
-        excess_footsteps={p: max(0.0, fs_r[p] - m_b[p] / days) for p in src.hcps.ids},
+        excess_load=dict(zip(hcps, np.maximum(0.0, hcp_r * to_h - hcp_b * to_h).tolist())),
+        unmet_demand=dict(zip(locs, np.maximum(0.0, loc_b * to_h - loc_r * to_h).tolist())),
+        footsteps=dict(zip(hcps, fs_r.tolist())),
+        excess_footsteps=dict(zip(hcps, np.maximum(0.0, fs_r - fs_b).tolist())),
         bubble_diameters={
             b: max([0.0, *(dist.get(x, y) for x, y in combinations(c.locations_in(b), 2))])
             for b in range(1, c.k + 1)},

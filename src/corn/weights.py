@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, TooLargeError
-from .model import VisitGraph, chop_visit
+from .model import VisitGraph, chop_points
 
 HCP_SCOPES = ("all", "ns_only")
 
@@ -89,8 +89,8 @@ def weight_matrix(
     idx: dict[str, dict[str, list[tuple[int, int]]]] = {}
     for v in g.visits:
         if v.hcp in scope:
-            idx.setdefault(v.hcp, {}).setdefault(v.location, []).extend(
-                (f.start_s, f.end_s) for f in chop_visit(v, unit_s))
+            cuts = chop_points(v.start_s, v.end_s, unit_s)
+            idx.setdefault(v.hcp, {}).setdefault(v.location, []).extend(zip(cuts, cuts[1:]))
     locmaps = [idx[h] for h in sorted(idx, key=lambda h: (min(map(min, idx[h].values())), h))]
     out: dict[tuple[str, str], float] = {}
     order = sorted(g.locations.substitutable)

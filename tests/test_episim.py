@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from corn.episim import (
     thread_count,
 )
 from corn.errors import ConfigError, NotBracketedError
+from corn.rewiring import RewiredGraph, rewire
 
 from .conftest import make_graph, small_logs
 from .oracles import contact_infection_prob
@@ -175,6 +177,60 @@ class TestContactSchedule:
             == [np.int64, np.int64, np.int64, np.int64, np.float64, np.bool_]
 
 
+SCHEDULE_FIELDS = ("ev_t", "ev_day", "ev_a", "ev_b", "ev_dur", "ev_hh")
+
+
+def assert_same_schedule(got: ContactSchedule, want: ContactSchedule) -> None:
+    for name in SCHEDULE_FIELDS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert got.ev_loc == want.ev_loc
+    assert got.n_events == want.n_events
+    assert (got.agent_ids, got.seed_members) == (want.agent_ids, want.seed_members)
+
+
+class TestRewiredSchedule:
+    """ContactSchedule(rw) reads rw.columns; rw.graph is the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_logs(), st.integers(0, 3))
+    def test_equals_schedule_of_rewired_log(self, log, seed):
+        g, c, keep = log
+        rw = rewire(g, c, seed, keep_same_bubble_hcp=keep)
+        assert_same_schedule(ContactSchedule(rw), ContactSchedule(rw.graph))
+        for x, y in zip(rw.columns, rw.graph.columns):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert rw.day_count == rw.graph.day_count
+
+    def test_equal_start_and_end_oriented_by_rewired_names(self):
+        # p1's and p2's visits to la share start and end; the rewiring gives p1's to x,
+        # which sorts after p2, so the pair's earlier visit becomes p2's
+        rows = [("p1", "la", 0, 3600), ("p2", "la", 0, 3600)]
+        g = make_graph(rows, {"p1": "g", "p2": "g", "x": "g"}, {"la": "s"})
+        c = BubbleClustering(k=1, location_bubble={"la": 1},
+                             hcp_bubble={"p1": 1, "p2": 1, "x": 1})
+        rw = RewiredGraph(source=g, clustering=c, assigned=("x", "p2"))
+        s = ContactSchedule(rw)
+        assert_same_schedule(s, ContactSchedule(rw.graph))
+        hh = s.ev_hh.nonzero()[0]
+        assert [(s.ev_a[i], s.ev_b[i]) for i in hh] == [(1, 2)]  # p2 then x
+
+    def test_full_key_ties_keep_build_order(self):
+        # each HCP's two visits overlap (an invalid log), so four pairs tie on
+        # (t, a, b, location): they keep the order (later visit, earlier visit)
+        rows = [("a", "r", 0, 600), ("a", "r", 0, 1200),
+                ("b", "r", 0, 1800), ("b", "r", 0, 2400)]
+        g = make_graph(rows, {"a": "g", "b": "g"}, {"r": "s"})
+        s = ContactSchedule(g)
+        assert s.ev_dur.tolist() == [10.0, 20.0, 10.0, 20.0, 10.0, 20.0, 30.0, 40.0]
+        assert s.ev_a.tolist() == [0, 0, 0, 0, 0, 0, 1, 1]
+        assert s.ev_b.tolist() == [1, 1, 1, 1, 2, 2, 2, 2]
+        assert s.ev_hh.tolist() == [True] * 4 + [False] * 4
+        c = BubbleClustering(k=1, location_bubble={"r": 1}, hcp_bubble={"a": 1, "b": 1})
+        rw = RewiredGraph(source=g, clustering=c, assigned=("a", "a", "b", "b"))
+        assert_same_schedule(ContactSchedule(rw), s)
+
+
 class TestSimulate:
     def test_rho_zero_only_seed(self):
         cfg = SimConfig(disease=disease(0.0), replicates=20, casual=NO_CASUAL)
@@ -250,6 +306,21 @@ class TestSimulate:
         cfg = SimConfig(disease=disease(0.0), replicates=1)
         with pytest.raises(ConfigError, match="no substitutable HCP group"):
             simulate(g, None, cfg)
+
+    def test_rewired_accepts_an_equal_clustering(self):
+        g, c = two_bubble_graph()
+        rw = rewire(g, c, seed=0)
+        cfg = SimConfig(disease=disease(0.05), replicates=10)
+        assert simulate(rw, dataclasses.replace(rw.clustering), cfg) == simulate(rw, None, cfg)
+
+    def test_rewired_rejects_a_different_clustering(self):
+        g, c = two_bubble_graph()
+        rw = rewire(g, c, seed=0)
+        other = dataclasses.replace(c, location_bubble={"la": 2, "lb": 1},
+                                    hcp_bubble={"p1": 2, "p2": 1})
+        cfg = SimConfig(disease=disease(0.05), replicates=10)
+        with pytest.raises(ConfigError, match="conflicts"):
+            simulate(rw, other, cfg)
 
     def test_clustering_coverage_checked(self):
         g, _ = two_bubble_graph()
