@@ -8,8 +8,7 @@ its start with at least one transmitting contact from an infectious agent.
 The kernel therefore handles a day as one batch of array operations: it
 takes the day's scheduled contacts and then its casual ones, keeps those
 with one infectious and one susceptible end, and compares each contact's
-infection probability with its predrawn coin. With only_seed (R0
-estimation) the seed alone transmits, and all of its days form one batch.
+infection probability with its predrawn coin.
 
 Transmission log rule: each newly infected agent gets one entry, from its
 first transmitting contact, counting contacts in day order and, within a
@@ -18,9 +17,21 @@ that same order.
 
 Each replicate derives three RNG streams from (master seed, replicate):
 seed choice, contact structure (casual contacts), and transmission coins.
-Coins are predrawn per contact event, scheduled then casual, which couples
-runs across infectivity values: raising rho can only turn misses into hits
-for a fixed seed agent, which estimate_r0 relies on during calibration.
+Coins are predrawn per contact event, scheduled then casual, so the draws
+of a replicate do not depend on rho: they are common random numbers
+across infectivity values.
+
+R0 estimation lets the seed alone transmit, so a replicate's count is the
+number of agents with a transmitting contact from the seed. A contact with
+duration dur, shedding shed and coin u transmits when
+u < min(1, rho * dur * shed); IEEE multiplication by a non-negative number
+rounds monotonically, so that test is monotone in rho and the contact has
+a least float64 rho at which it transmits. A target is infected at rho
+exactly when the least of these over its contacts from the seed is <= rho.
+estimate_r0 therefore replays each replicate's draws once per config,
+keeps that least rho per (replicate, target), and counts targets at each
+rho with one comparison: its counts are the kernel's, and calibration's
+bisection steps run no replicates.
 
 A replicate replays a ContactSchedule, built with numpy from the log's
 columns. A RewiredGraph's columns are the rewired log's, re-sorted from
@@ -240,6 +251,23 @@ class ContactSchedule:
         self.ev_day = self.ev_t // SECONDS_PER_DAY
         self.ev_loc = tuple(np.array(loc_ids, dtype=object)[ev_l[order]])
         self.n_events = len(order)
+        self._thresholds: tuple | None = None  # (key, replicate, least rho) of the last config
+
+    def seed_thresholds(self, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+        """(replicate, least transmitting rho) per agent the seed of each replicate can infect.
+
+        The seed-only replicates of cfg run over at most one infectious span.
+        The pairs do not depend on rho, so the last config's are kept, keyed
+        on it with rho set to 0: calibration asks for them at each of its rhos.
+        """
+        horizon = min(cfg.horizon(self.graph), cfg.disease.infectious_span + 1)
+        key = (replace(cfg, disease=replace(cfg.disease, rho=0.0)), horizon)
+        if self._thresholds is None or self._thresholds[0] != key:
+            per_rep = run_replicates(lambda rep: _seed_thresholds(self, cfg, horizon, rep)[1],
+                                     cfg.replicates)
+            reps = np.repeat(np.arange(cfg.replicates), [len(t) for t in per_rep])
+            self._thresholds = (key, reps, np.concatenate(per_rep))
+        return self._thresholds[1:]
 
 
 def build_contact_schedule(g: VisitGraph | RewiredGraph) -> ContactSchedule:
@@ -255,41 +283,50 @@ def _shedding_curve(incubation_days: int, recovery_days: int) -> np.ndarray:
     return curve
 
 
-def _run_replicate(
-    sched: ContactSchedule,
-    clustering: BubbleClustering | None,
-    cfg: SimConfig,
-    horizon: int,
-    rep: int,
-    only_seed: bool = False,
-) -> ReplicateResult:
-    """Replicate rep of cfg on sched; only_seed lets no one but the seed transmit."""
+def _draws(sched: ContactSchedule, cfg: SimConfig, horizon: int, rep: int) -> tuple:
+    """Replicate rep's random numbers, none of which depends on rho.
+
+    From its three streams: the seed agent; the day and the two HCPs of each
+    casual contact, in (day, HCP) order; a coin per scheduled contact and
+    one per casual contact.
+    """
     ss = np.random.SeedSequence(cfg.seed, spawn_key=(rep,))
     k_pick, k_struct, k_coin = ss.spawn(3)
     rng_pick = np.random.default_rng(k_pick)
     members = sched.seed_members
     seed_agent = int(members[int(rng_pick.integers(len(members)))])
 
-    disease, casual = cfg.disease, cfg.casual
+    # casual contacts: a Poisson count per HCP and day, every one with a uniform other HCP
     nh = len(sched.hcp_ids)
+    rng_struct = np.random.default_rng(k_struct)
+    cas_day = cas_a = cas_b = np.empty(0, dtype=np.int64)
+    if cfg.casual.contacts_per_day > 0 and nh >= 2:
+        counts = rng_struct.poisson(cfg.casual.contacts_per_day, size=(horizon, nh))
+        cas_day, cas_a = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()), nh)
+        j = rng_struct.integers(nh - 1, size=len(cas_a))
+        cas_b = j + (j >= cas_a)
+    rng_coin = np.random.default_rng(k_coin)
+    u_sched = rng_coin.random(sched.n_events)
+    u_casual = rng_coin.random(len(cas_a))
+    return seed_agent, cas_day, cas_a, cas_b, u_sched, u_casual
+
+
+def _run_replicate(
+    sched: ContactSchedule,
+    clustering: BubbleClustering | None,
+    cfg: SimConfig,
+    horizon: int,
+    rep: int,
+) -> ReplicateResult:
+    """Replicate rep of cfg on sched."""
+    seed_agent, cas_day, cas_a, cas_b, u_sched, u_casual = _draws(sched, cfg, horizon, rep)
+    disease = cfg.disease
     span = disease.infectious_span
     shed = _shedding_curve(disease.incubation_days, disease.recovery_days)
     rho = disease.rho
     scale = disease.cross_bubble_scale
-
-    # casual contacts in (day, HCP) order: a Poisson count each, every one with a uniform other HCP
-    rng_struct = np.random.default_rng(k_struct)
-    cas_day = cas_a = cas_b = np.empty(0, dtype=np.int64)
-    if casual.contacts_per_day > 0 and nh >= 2:
-        counts = rng_struct.poisson(casual.contacts_per_day, size=(horizon, nh))
-        cas_day, cas_a = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()), nh)
-        j = rng_struct.integers(nh - 1, size=len(cas_a))
-        cas_b = j + (j >= cas_a)
-    cas_dur = np.full(len(cas_a), casual.duration_min)
+    cas_dur = np.full(len(cas_a), cfg.casual.duration_min)
     cas_hh = np.ones(len(cas_a), dtype=bool)
-    rng_coin = np.random.default_rng(k_coin)
-    u_sched = rng_coin.random(sched.n_events)
-    u_casual = rng_coin.random(len(cas_a))
 
     days = np.arange(horizon + 1)
     ev_off = np.searchsorted(sched.ev_day, days)
@@ -308,7 +345,7 @@ def _run_replicate(
     empty = np.empty(0, dtype=np.int64)
     log: list[TransmissionEvent] = []
 
-    def hits(lo, hi, ev_a, ev_b, ev_day, ev_dur, ev_hh, u):
+    def hits(day, lo, hi, ev_a, ev_b, ev_dur, ev_hh, u):
         """Contacts in [lo, hi) from an infectious to a susceptible agent that transmit."""
         a, b = ev_a[lo:hi], ev_b[lo:hi]
         sa = state[a]
@@ -319,60 +356,54 @@ def _run_replicate(
         src = np.where(sa[live] == 2, a, b)
         dst = a + b - src
         idx = live + lo
-        p = np.minimum(1.0, rho * ev_dur[idx] * shed[ev_day[idx] - day_of[src]])
+        p = np.minimum(1.0, rho * ev_dur[idx] * shed[day - day_of[src]])
         if damped:
             bs, bd = bub[src], bub[dst]
             p[ev_hh[idx] & (bs != bd) & (bs * bd > 0)] *= scale
         ok = u[idx] < p
         return idx[ok], src[ok], dst[ok]
 
-    def spread(d0: int, d1: int) -> np.ndarray:
-        """Infect each target of a transmitting contact in days [d0, d1) at its first one.
+    def spread(day: int) -> np.ndarray:
+        """Infect each target of a transmitting contact on day at its first one.
 
-        Contacts count in day order, a day's scheduled ones before its casual
-        ones. Returns the newly infected agents in that order.
+        A day's scheduled contacts count before its casual ones. Returns the
+        newly infected agents in that order.
         """
-        si, s_src, s_dst = hits(ev_off[d0], ev_off[d1], sched.ev_a, sched.ev_b, sched.ev_day,
+        si, s_src, s_dst = hits(day, ev_off[day], ev_off[day + 1], sched.ev_a, sched.ev_b,
                                 sched.ev_dur, sched.ev_hh, u_sched)
-        ci, c_src, c_dst = hits(cas_off[d0], cas_off[d1], cas_a, cas_b, cas_day,
+        ci, c_src, c_dst = hits(day, cas_off[day], cas_off[day + 1], cas_a, cas_b,
                                 cas_dur, cas_hh, u_casual)
         if not len(si) and not len(ci):
             return empty
-        day = np.concatenate((sched.ev_day[si], cas_day[ci]))
-        order = np.argsort(day, kind="stable")
         dst = np.concatenate((s_dst, c_dst))
-        _, first = np.unique(dst[order], return_index=True)
-        first = order[np.sort(first)]
+        _, first = np.unique(dst, return_index=True)
+        first = np.sort(first)
         new = dst[first]
-        day_of[new] = day[first]
+        day_of[new] = day
         state[new] = 0
         if cfg.keep_transmission_log:
             src = np.concatenate((s_src, c_src))
             for i in first.tolist():
-                d = int(day[i])
                 if i < len(si):
                     t_s, loc = int(sched.ev_t[si[i]]), sched.ev_loc[si[i]]
                 else:
-                    t_s, loc = d * SECONDS_PER_DAY, CASUAL_LOCATION
+                    t_s, loc = day * SECONDS_PER_DAY, CASUAL_LOCATION
                 log.append(TransmissionEvent(
-                    d, t_s, sched.agent_ids[src[i]], sched.agent_ids[dst[i]], loc))
+                    day, t_s, sched.agent_ids[src[i]], sched.agent_ids[dst[i]], loc))
         return new
 
-    if only_seed:  # the seed alone transmits, so all of its days make one batch
-        state[seed_agent] = 2
-        spread(1, min(span + 1, horizon))
-    else:  # the infectious set is fixed for a day, so each day is one batch
-        waves = [np.array([seed_agent])]  # the agents infected on each day
-        last = 0  # the latest day with an infection
-        for day in range(1, horizon):
-            if day > last + span:
-                break  # no one is infectious now or later
-            state[waves[day - 1]] = 2  # yesterday's infections shed from today
-            if day > span:
-                state[waves[day - span - 1]] = 0  # and the earliest ones have recovered
-            waves.append(spread(day, day + 1))
-            if len(waves[-1]):
-                last = day
+    # the infectious set is fixed for a day, so each day is one batch
+    waves = [np.array([seed_agent])]  # the agents infected on each day
+    last = 0  # the latest day with an infection
+    for day in range(1, horizon):
+        if day > last + span:
+            break  # no one is infectious now or later
+        state[waves[day - 1]] = 2  # yesterday's infections shed from today
+        if day > span:
+            state[waves[day - span - 1]] = 0  # and the earliest ones have recovered
+        waves.append(spread(day))
+        if len(waves[-1]):
+            last = day
 
     infected = day_of >= 0
     total = int(infected.sum())
@@ -387,6 +418,61 @@ def _run_replicate(
         reach=bool((left & (bub[infected] > 0)).any()) if clustering is not None else None,
         log=tuple(log),
     )
+
+
+_INF_BITS = np.float64(np.inf).view(np.int64)
+
+
+def _least_rho(dur: np.ndarray, shed: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per contact, the least rho at which u < min(1, rho * dur * shed); nan if none.
+
+    The test is monotone in rho, and a non-negative float64 orders like its
+    bits read as an int64, so bisection on the bits finds the least rho
+    exactly. It starts a few ulps around u / (dur * shed).
+    """
+    def transmits(bits: np.ndarray, i: np.ndarray) -> np.ndarray:
+        return u[i] < np.minimum(1.0, bits.view(np.float64) * dur[i] * shed[i])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = u / (dur * shed)
+    bits = np.where(np.isnan(guess), np.inf, guess).view(np.int64)
+    lo, hi = np.maximum(bits - 4, 0), np.minimum(bits + 4, _INF_BITS)
+    every = np.arange(len(u))
+    wide = transmits(lo, every) | ~transmits(hi, every)
+    lo[wide], hi[wide] = 0, _INF_BITS  # no contact transmits at rho 0
+    never = ~transmits(hi, every)  # not even at rho = inf
+    i = ((hi - lo > 1) & ~never).nonzero()[0]
+    while len(i):
+        mid = lo[i] + (hi[i] - lo[i]) // 2
+        ok = transmits(mid, i)
+        hi[i[ok]], lo[i[~ok]] = mid[ok], mid[~ok]
+        i = i[hi[i] - lo[i] > 1]
+    return np.where(never, np.nan, hi.view(np.float64))
+
+
+def _seed_thresholds(sched: ContactSchedule, cfg: SimConfig, horizon: int,
+                     rep: int) -> tuple[int, np.ndarray]:
+    """The seed of replicate rep, and the least rho at which it infects each agent it can.
+
+    The seed alone transmits, from day 1 to the end of its infectious span
+    or of the horizon, with replicate rep's draws: at rho, the replicate
+    infects the agents whose least rho is <= rho.
+    """
+    seed, cas_day, cas_a, cas_b, u_sched, u_casual = _draws(sched, cfg, horizon, rep)
+    d1 = min(cfg.disease.infectious_span + 1, horizon)
+    s0, s1 = np.searchsorted(sched.ev_day, (1, d1))
+    c0, c1 = np.searchsorted(cas_day, (1, d1))
+    a = np.concatenate((sched.ev_a[s0:s1], cas_a[c0:c1]))
+    b = np.concatenate((sched.ev_b[s0:s1], cas_b[c0:c1]))
+    day = np.concatenate((sched.ev_day[s0:s1], cas_day[c0:c1]))
+    dur = np.concatenate((sched.ev_dur[s0:s1], np.full(c1 - c0, cfg.casual.duration_min)))
+    u = np.concatenate((u_sched[s0:s1], u_casual[c0:c1]))
+    mine = ((a == seed) | (b == seed)).nonzero()[0]
+    shed = _shedding_curve(cfg.disease.incubation_days, cfg.disease.recovery_days)
+    rho = _least_rho(dur[mine], shed[day[mine]], u[mine])
+    least = np.full(sched.n_agents, np.nan)
+    np.fmin.at(least, a[mine] + b[mine] - seed, rho)  # fmin skips the nan of "never"
+    return seed, least[~np.isnan(least)]
 
 
 def thread_count() -> int:
@@ -488,14 +574,16 @@ class R0Estimate:
 
 
 def estimate_r0(sched: ContactSchedule, rho: float, cfg: SimConfig) -> R0Estimate:
-    """Mean secondary infections of the seed with all others non-transmitting."""
+    """Mean secondary infections of the seed with all others non-transmitting.
+
+    Each replicate's count is its number of targets whose least transmitting
+    rho is <= rho; sched keeps those for cfg, so a call that changes only rho
+    runs no replicates.
+    """
     cfg = replace(cfg, disease=replace(cfg.disease, rho=rho))
     cfg.check()
-    horizon = min(cfg.horizon(sched.graph), cfg.disease.infectious_span + 1)
-    results = run_replicates(
-        lambda rep: _run_replicate(sched, None, cfg, horizon, rep, only_seed=True),
-        cfg.replicates)
-    counts = np.array([r.infections_excl_seed for r in results], dtype=float)
+    reps, least = sched.seed_thresholds(cfg)
+    counts = np.bincount(reps[least <= rho], minlength=cfg.replicates).astype(float)
     se = float(counts.std(ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0
     return R0Estimate(rho=rho, mean=float(counts.mean()), se=se, replicates=cfg.replicates)
 
@@ -510,20 +598,15 @@ class CalibrationResult:
 def calibrate_rho(g: VisitGraph, target_r0: float, cfg: SimConfig) -> CalibrationResult:
     """Bisection on rho until the R0 estimate is within R0_TOLERANCE of target."""
     check_nonnegative(target_r0=target_r0)
-    sched = build_contact_schedule(g)  # every evaluation replays the one schedule
+    sched = build_contact_schedule(g)  # every evaluation counts its one set of thresholds
     if target_r0 == 0.0:
         return CalibrationResult(0.0, estimate_r0(sched, 0.0, cfg), 1)
 
     history: list[R0Estimate] = []
 
     def est(rho: float) -> R0Estimate:
-        e = estimate_r0(sched, rho, cfg)
-        for prev in history:
-            if (rho - prev.rho) * (e.mean - prev.mean) < -1e-12:
-                raise NotBracketedError(
-                    "R0 estimate is not monotone in rho; coupling assumption broken")
-        history.append(e)
-        return e
+        history.append(estimate_r0(sched, rho, cfg))
+        return history[-1]
 
     hi = 1e-4
     while est(hi).mean < target_r0:

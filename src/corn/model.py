@@ -120,7 +120,7 @@ class VisitGraph:
                         dtype=np.int64).reshape(-1, 4)
         return VisitColumns(*(np.ascontiguousarray(c) for c in rows.T))
 
-    @property
+    @functools.cached_property
     def max_end_s(self) -> int:
         return max((v.end_s for v in self.visits), default=0)
 

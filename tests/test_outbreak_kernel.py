@@ -1,19 +1,23 @@
-"""The outbreak kernel against pinned outputs and an exact final-size oracle.
+"""The outbreak kernel against pinned outputs and exact oracles.
 
 The pinned outputs in data/pinned_replicates.json were recorded from the
 scalar (one event at a time) kernel that the array kernel replaced. Any
 change to the random draws a replicate makes, or to the order of its
-transmission log, shows up here. Rewrite the file only for a change that
-is meant to move every replicate:
+transmission log, shows up here. Rewrite the file, from that reference
+kernel, only for a change that is meant to move every replicate:
 
     PYTHONPATH=src python -m tests.test_outbreak_kernel
 
 scalar_replicate keeps that scalar kernel as the reference: it reproduces
-the recording, and the array kernel must equal it on other instances.
+the recording, and the array kernel must equal it on other instances. Its
+seed-only runs, where the seed alone transmits, are the reference for
+estimate_r0's counts from each replicate's least transmitting rho per
+target, at those thresholds and at the floats just below them.
 
-The oracle needs no random numbers: it walks every infection-day vector of
-a graph of five agents and compares the final-size distribution with
-simulated replicates.
+The oracles need no random numbers: one walks every infection-day vector
+of a graph of five agents and compares the final-size distribution with
+simulated replicates, the other sums the seed's per-target infection
+probabilities into the expected R0.
 """
 
 from __future__ import annotations
@@ -22,11 +26,14 @@ import functools
 import itertools
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corn.clustering import BubbleClustering
 from corn.episim import (
@@ -38,6 +45,8 @@ from corn.episim import (
     SimConfig,
     TransmissionEvent,
     _run_replicate,
+    _seed_thresholds,
+    estimate_r0,
     shedding,
     simulate,
 )
@@ -45,7 +54,7 @@ from corn.model import SECONDS_PER_DAY
 from corn.rewiring import random_clustering
 from corn.synth import FacilitySpec, generate_facility, generate_mobility, zone_clustering
 
-from .conftest import make_graph
+from .conftest import make_graph, small_logs
 from .oracles import contact_infection_prob
 
 PINNED = Path(__file__).parent / "data" / "pinned_replicates.json"
@@ -156,13 +165,25 @@ def _as_json(r) -> dict:
     }
 
 
-def _record(kernel=_run_replicate) -> dict:
+def _record(kernel=scalar_replicate) -> dict:
     sched, cases = _pinned_cases()
     return {
         name: [_as_json(kernel(sched, c, cfg, horizon, rep, only_seed=only))
                for rep in range(PINNED_REPLICATES)]
         for name, c, cfg, horizon, only in cases
     }
+
+
+def seed_only(sched, cfg: SimConfig, horizon: int, rep: int) -> dict:
+    """Seed agent and secondary infections of a seed-only replicate, from its thresholds."""
+    seed, least = _seed_thresholds(sched, cfg, horizon, rep)
+    return {"seed_agent": sched.agent_ids[seed],
+            "infections_excl_seed": int((least <= cfg.disease.rho).sum())}
+
+
+def scalar_seed_only(sched, cfg: SimConfig, horizon: int, rep: int) -> dict:
+    r = scalar_replicate(sched, None, cfg, horizon, rep, only_seed=True)
+    return {"seed_agent": r.seed_agent, "infections_excl_seed": r.infections_excl_seed}
 
 
 class TestPinned:
@@ -172,11 +193,41 @@ class TestPinned:
 
     @pytest.fixture(scope="class")
     def replayed(self):
-        return _record()
+        """Each case from the code that runs it now.
+
+        Simulation runs the array kernel. estimate_r0 runs unclustered
+        seed-only replicates from thresholds, which give the seed and the
+        count; nothing runs clustered seed-only replicates any more, so those
+        cases are replayed by the reference kernel.
+        """
+        sched, cases = _pinned_cases()
+        reps = range(PINNED_REPLICATES)
+        out = {}
+        for name, c, cfg, horizon, only in cases:
+            if not only:
+                out[name] = [_as_json(_run_replicate(sched, c, cfg, horizon, r)) for r in reps]
+            elif c is None:
+                out[name] = [seed_only(sched, cfg, horizon, r) for r in reps]
+            else:
+                out[name] = [_as_json(scalar_replicate(sched, c, cfg, horizon, r, only_seed=True))
+                             for r in reps]
+        return out
 
     @pytest.mark.parametrize("name", [case[0] for case in _pinned_cases()[1]])
     def test_replicates_match_recording(self, recorded, replayed, name):
-        assert replayed[name] == recorded[name]
+        fields = replayed[name][0].keys()
+        assert replayed[name] == [{f: r[f] for f in fields} for r in recorded[name]]
+
+    def test_estimate_r0_matches_recording(self, recorded):
+        # the pinned seed-only case runs over one infectious span, which estimate_r0
+        # reaches with horizon_days at that span
+        sched, cases = _pinned_cases()
+        [(cfg, horizon)] = [(cfg, horizon) for name, _, cfg, horizon, _ in cases
+                            if name == "only_seed"]
+        est = estimate_r0(sched, cfg.disease.rho, replace(cfg, horizon_days=horizon))
+        counts = [r["infections_excl_seed"] for r in recorded["only_seed"]]
+        assert est.mean == np.mean(np.array(counts, dtype=float))
+        assert est.se > 0.0
 
     def test_scalar_reference_matches_recording(self, recorded):
         assert _record(scalar_replicate) == recorded
@@ -220,9 +271,12 @@ class TestScalarReference:
                         keep_transmission_log=True,
                         casual=CasualContactModel(contacts_per_day=per_day))
         for rep in range(40):
-            args = (sched, clustering, cfg, cfg.horizon(g), rep)
-            assert _run_replicate(*args, only_seed=only_seed) == \
-                scalar_replicate(*args, only_seed=only_seed)
+            if only_seed:  # estimate_r0's path, which takes no clustering
+                args = (sched, cfg, cfg.horizon(g), rep)
+                assert seed_only(*args) == scalar_seed_only(*args)
+            else:
+                args = (sched, clustering, cfg, cfg.horizon(g), rep)
+                assert _run_replicate(*args) == scalar_replicate(*args)
 
 
 # -- exact final-size oracle ------------------------------------------------------
@@ -369,6 +423,91 @@ class TestExactFinalSize:
         mean = lambda dist: sum(s * p for s, p in dist.items())  # noqa: E731
         assert mean(damped) < mean(free) - 0.05
 
+
+
+# -- seed-only replicates from thresholds -------------------------------------------
+
+def exact_r0(g, cfg: SimConfig) -> float:
+    """Expected secondary infections of a seed that alone transmits.
+
+    The seed is a uniform member of the first group. It infects each other
+    agent unless every contact between them misses, so a target counts
+    1 - prod(1 - p_e) over their scheduled contacts on days 1 to the end of
+    the infectious span or the horizon, times, for an HCP target, a
+    Poisson(2 lam / (n_h - 1)) number of casual contacts a day, thinned by
+    their infection probability: exp(-2 lam p_c / (n_h - 1)).
+    """
+    d = cfg.disease
+    hcps = g.hcps.ids
+    lam, nh = cfg.casual.contacts_per_day, len(hcps)
+    days = range(1, min(cfg.horizon(g), d.infectious_span + 1))
+    events = _oracle_events(g)
+    seeds = g.hcps.members(g.hcps.group_labels[0])
+    total = 0.0
+    for seed in seeds:
+        for x in hcps + g.locations.substitutable:
+            if x == seed:
+                continue
+            escape = 1.0
+            for day, a, b, minutes, _ in events:
+                if day in days and {a, b} == {seed, x}:
+                    escape *= 1.0 - contact_infection_prob(minutes, shedding(day, d), d.rho)
+            if lam > 0 and nh >= 2 and x in hcps:
+                for day in days:
+                    p_c = contact_infection_prob(cfg.casual.duration_min, shedding(day, d), d.rho)
+                    escape *= math.exp(-2.0 * lam * p_c / (nh - 1))
+            total += 1.0 - escape
+    return total / len(seeds)
+
+
+class TestSeedThresholds:
+    @settings(max_examples=40, deadline=None)
+    @given(small_logs(), st.integers(1, 3), st.integers(1, 3), st.sampled_from([0.0, 2.0]),
+           st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 2**32 - 1))
+    def test_counts_equal_scalar_at_each_threshold(self, drawn, incubation, recovery,
+                                                    per_day, horizon_days, seed):
+        g = drawn[0]
+        cfg = SimConfig(disease=DiseaseParams(rho=0.0, incubation_days=incubation,
+                                              recovery_days=recovery),
+                        replicates=3, seed=seed, horizon_days=horizon_days,
+                        casual=CasualContactModel(contacts_per_day=per_day))
+        sched = ContactSchedule(g)
+        horizon = min(cfg.horizon(g), cfg.disease.infectious_span + 1)  # as estimate_r0 runs
+        reps, least = sched.seed_thresholds(cfg)
+        for t in np.unique(least[np.isfinite(least)]):
+            for rho in (t, np.nextafter(t, 0.0)):  # a threshold and the float below it
+                at = replace(cfg, disease=replace(cfg.disease, rho=float(rho)))
+                want = [scalar_seed_only(sched, at, horizon, rep) for rep in range(cfg.replicates)]
+                assert [seed_only(sched, at, horizon, rep)
+                        for rep in range(cfg.replicates)] == want
+                counts = [w["infections_excl_seed"] for w in want]
+                assert np.bincount(reps[least <= rho], minlength=cfg.replicates).tolist() == counts
+                assert estimate_r0(sched, float(rho), cfg).mean == \
+                    np.mean(np.array(counts, dtype=float))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("CORN_THREADS", "2")
+            mp.setattr(os, "cpu_count", lambda: 2)
+            two = ContactSchedule(g).seed_thresholds(cfg)
+        assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(two, (reps, least)))
+
+    @pytest.mark.parametrize("per_day", [0.0, 2.0])
+    def test_estimate_r0_matches_exact_mean(self, per_day):
+        g, _ = _oracle_graph()
+        cfg = SimConfig(disease=DiseaseParams(rho=0.01, incubation_days=2, recovery_days=2),
+                        replicates=4000, seed=13, horizon_days=7,
+                        casual=CasualContactModel(contacts_per_day=per_day))
+        exact = exact_r0(g, cfg)
+        est = estimate_r0(ContactSchedule(g), cfg.disease.rho, cfg)
+        assert 0.0 < est.se
+        assert abs(est.mean - exact) <= 4.0 * est.se, (est.mean, exact, est.se)
+
+    def test_oracle_sees_casual_contacts(self):
+        # casual contacts move the exact mean, so the casual comparison has teeth
+        g, _ = _oracle_graph()
+        cfg = SimConfig(disease=DiseaseParams(rho=0.01, incubation_days=2, recovery_days=2),
+                        horizon_days=7, casual=CasualContactModel(contacts_per_day=2.0))
+        quiet = replace(cfg, casual=CasualContactModel(contacts_per_day=0.0))
+        assert exact_r0(g, cfg) > exact_r0(g, quiet) + 0.05
 
 if __name__ == "__main__":
     runs = [f"{json.dumps(name)}: [\n" + ",\n".join(json.dumps(r) for r in reps) + "\n]"
