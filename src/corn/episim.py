@@ -543,22 +543,29 @@ def _aggregate(label: str, results: list[ReplicateResult], cfg_echo: dict) -> Si
     return SimSummary(label=label, results=tuple(results), aggregates=agg, config=cfg_echo)
 
 
+def _schedule(g: VisitGraph | RewiredGraph | ContactSchedule) -> ContactSchedule:
+    """g if it is a contact schedule already, else the one built from the log g."""
+    return g if isinstance(g, ContactSchedule) else build_contact_schedule(g)
+
+
 def simulate(
-    g: VisitGraph | RewiredGraph,
+    g: VisitGraph | RewiredGraph | ContactSchedule,
     clustering: BubbleClustering | None,
     cfg: SimConfig,
     label: str = "sim",
 ) -> SimSummary:
+    """Outbreak replicates on the log g, or on a schedule already built from it."""
     cfg.check()
-    clustering = _resolve(g, clustering)
+    graph = g.graph if isinstance(g, ContactSchedule) else g
+    clustering = _resolve(graph, clustering)
     if clustering is not None:
-        check_coverage(g, clustering)
-    sched = build_contact_schedule(g)
-    horizon = cfg.horizon(g)
+        check_coverage(graph, clustering)
+    sched = _schedule(g)
+    horizon = cfg.horizon(graph)
     results = run_replicates(lambda rep: _run_replicate(sched, clustering, cfg, horizon, rep),
                              cfg.replicates)
     k = clustering.k if clustering is not None else None
-    return _aggregate(label, results, cfg.echo(label, g, k))
+    return _aggregate(label, results, cfg.echo(label, graph, k))
 
 
 @dataclass(frozen=True)
@@ -595,10 +602,14 @@ class CalibrationResult:
     evaluations: int
 
 
-def calibrate_rho(g: VisitGraph, target_r0: float, cfg: SimConfig) -> CalibrationResult:
-    """Bisection on rho until the R0 estimate is within R0_TOLERANCE of target."""
+def calibrate_rho(g: VisitGraph | ContactSchedule, target_r0: float,
+                  cfg: SimConfig) -> CalibrationResult:
+    """Bisection on rho until the R0 estimate is within R0_TOLERANCE of target.
+
+    g is the log, or a schedule already built from it.
+    """
     check_nonnegative(target_r0=target_r0)
-    sched = build_contact_schedule(g)  # every evaluation counts its one set of thresholds
+    sched = _schedule(g)  # every evaluation counts its one set of thresholds
     if target_r0 == 0.0:
         return CalibrationResult(0.0, estimate_r0(sched, 0.0, cfg), 1)
 

@@ -25,6 +25,7 @@ import numpy as np
 from .clustering import BubbleClustering, save_clustering
 from .episim import (
     CasualContactModel,
+    ContactSchedule,
     DiseaseParams,
     SimConfig,
     SimSummary,
@@ -248,8 +249,12 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def resolve_rho(graph: VisitGraph, cfg: ExperimentConfig) -> tuple[float, dict]:
-    """Either the explicit rho or a calibrated one, plus a provenance record."""
+def resolve_rho(graph: VisitGraph | ContactSchedule,
+                cfg: ExperimentConfig) -> tuple[float, dict]:
+    """Either the explicit rho or a calibrated one, plus a provenance record.
+
+    graph is the log, or a schedule already built from it.
+    """
     if cfg.rho is not None:
         return cfg.rho, {"rho": cfg.rho, "source": "explicit"}
     # calibrate_rho sets the rho of each evaluation itself
@@ -305,7 +310,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
 
     loads = compute_loads_demands(graph)
 
-    rho, rho_record = resolve_rho(graph, cfg)
+    base = build_contact_schedule(graph)  # for calibration and the baseline arm
+    rho, rho_record = resolve_rho(base, cfg)
     z = z_from_rho(rho, cfg.unit_s)
     weights = weight_matrix(graph, z, cfg.unit_s, hcp_scope=cfg.hcp_scope)
     write_weight_csv(weights, reports / "weights.csv")
@@ -317,7 +323,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
 
     sim_cfg = cfg.sim_config(rho, cfg.replicates, derive_seed(cfg.seed, _NS_SIM))
     summaries: dict[str, SimSummary] = {}
-    summaries["baseline"] = simulate(graph, None, sim_cfg, label="baseline")
+    summaries["baseline"] = simulate(base, None, sim_cfg, label="baseline")
 
     clusterings: dict[int, BubbleClustering] = {}
     solve_records: dict[str, dict] = {}

@@ -16,6 +16,20 @@ order, as VisitGraph.build sorts them, so unpinned claims arrive in start
 order. And each HCP's own visits are disjoint, as validate() enforces, so
 p's pinned intervals, taken in graph order, are sorted and disjoint.
 
+The pinned check depends on no earlier pick, so rewire makes it for all
+unpinned visits at once from g.columns: per substitutable HCP, one
+searchsorted of the visits' ends into its pinned starts. That gives a
+boolean candidate x visit table, true where the HCP is of the visit's
+HCP's group and its room's bubble and its pinned intervals leave the
+visit free. The walk over the unpinned visits in graph order then checks
+only each candidate's latest claim, candidates in name order.
+
+Draws: a pick among n free candidates is the rng.integers(n) of numpy's
+Generator, which draws nothing for n == 1. ReplayedDraws replays it from
+one block of raw 32-bit draws of the same generator, one per unpinned
+visit, and draws another block only if rejections use it up. So each
+pick is the one a scalar rng.integers(n) call per pick would make.
+
 A rewiring is its source log plus assigned, the HCP of each source visit.
 Contact schedules read RewiredGraph.columns, the rewired log's columns
 re-sorted from the source's; cost reports read the source log's columns
@@ -24,8 +38,9 @@ with assigned. RewiredGraph.graph builds the rewired log only on first read.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import itertools
+import math
 from itertools import combinations
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,6 +128,32 @@ def check_coverage(g: VisitGraph | RewiredGraph, c: BubbleClustering) -> None:
             "clustering covers different HCPs than the graph's substitutable set")
 
 
+class ReplayedDraws:
+    """rng.integers(n) for 1 <= n <= 2**32, replayed from blocks of raw draws.
+
+    numpy's Generator.integers(n) takes Lemire's bounded draw from the
+    generator's 32-bit stream: m = u * n for the next u, again while the
+    low 32 bits of m are below (2**32 - n) % n, and the result is m >> 32;
+    n == 1 draws nothing. rng.integers(0, 2**32, dtype=np.uint32) returns
+    that same stream, so integers(n) here returns what the same sequence
+    of scalar calls on rng would. block raw draws are taken at a time.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        blocks = (rng.integers(0, 1 << 32, size=max(1, block), dtype=np.uint32).tolist()
+                  for _ in itertools.count())
+        self.raw = itertools.chain.from_iterable(blocks)
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        threshold = ((1 << 32) - n) % n
+        m = next(self.raw) * n
+        while m & 0xFFFFFFFF < threshold:
+            m = next(self.raw) * n
+        return m >> 32
+
+
 def rewire(
     g: VisitGraph,
     clustering: BubbleClustering,
@@ -120,43 +161,56 @@ def rewire(
     keep_same_bubble_hcp: bool = False,
 ) -> RewiredGraph:
     check_coverage(g, clustering)
-    rng = np.random.default_rng(seed)
-    ns_hcps = set(g.hcps.non_substitutable)
-    ns_locs = set(g.locations.non_substitutable)
-    hcp_bubble, location_bubble = clustering.hcp_bubble, clustering.location_bubble
-    assigned: list[str | None] = [None] * len(g.visits)
-    fixed: dict[str, list[tuple[int, int]]] = {}  # pinned intervals per HCP, in start order
-    for i, v in enumerate(g.visits):
-        if (v.hcp in ns_hcps or v.location in ns_locs or keep_same_bubble_hcp
-                and hcp_bubble[v.hcp] == location_bubble[v.location]):
-            assigned[i] = v.hcp
-            fixed.setdefault(v.hcp, []).append((v.start_s, v.end_s))
+    hcp_ids, loc_ids = g.hcps.ids, g.locations.ids
+    start, end, hcp, loc = g.columns
+    ns_hcps, ns_locs = set(g.hcps.non_substitutable), set(g.locations.non_substitutable)
+    pinned = (np.array([h in ns_hcps for h in hcp_ids], dtype=bool)[hcp]
+              | np.array([l in ns_locs for l in loc_ids], dtype=bool)[loc])
+    # the non-substitutable side gets bubble 0 and group 0: its visits are pinned anyway
+    hcp_b = np.array([clustering.hcp_bubble.get(h, 0) for h in hcp_ids], dtype=np.int64)
+    loc_b = np.array([clustering.location_bubble.get(l, 0) for l in loc_ids], dtype=np.int64)
+    if keep_same_bubble_hcp:
+        pinned |= hcp_b[hcp] == loc_b[loc]
+    group = {lab: i for i, lab in enumerate(g.hcps.group_labels)}
+    hcp_g = np.array([group.get(t, 0) for t in g.hcps.types.values()], dtype=np.int64)
 
-    members = {(lab, b): tuple(sorted(p for p in g.hcps.members(lab) if hcp_bubble[p] == b))
-               for lab in g.hcps.group_labels for b in range(1, clustering.k + 1)}
+    # candidates: each unpinned visit's substitutable HCPs in name order, of its own
+    # HCP's group and its room's bubble, whose pinned intervals leave it free
+    vis = (~pinned).nonzero()[0]
+    v_start, v_end = start[vis], end[vis]
+    cand = sorted((i for i, h in enumerate(hcp_ids) if h not in ns_hcps), key=hcp_ids.__getitem__)
+    k1 = clustering.k + 1
+    free = ((hcp_g[cand] * k1 + hcp_b[cand])[:, None]
+            == (hcp_g[hcp[vis]] * k1 + loc_b[loc[vis]])[None, :])  # candidate x visit
+    pv = pinned.nonzero()[0]
+    pv = pv[np.argsort(hcp[pv], kind="stable")]  # by HCP, each HCP's in start order
+    first = np.searchsorted(hcp[pv], np.arange(len(hcp_ids) + 1)).tolist()  # p's from first[p]
+    pin_start, pin_end = start[pv], np.concatenate(([0], end[pv]))  # pin_end[i + 1] ends pv[i]
+    for j, p in enumerate(cand):
+        # at: p's pinned intervals that start before the visit ends; the last must end by its start
+        at = np.searchsorted(pin_start[first[p]:first[p + 1]], v_end)
+        free[j] &= (at == 0) | (pin_end[first[p] + at] <= v_start)
+    pairs = np.flatnonzero(free.T)  # visit-major, candidates in name order
 
-    last_end: dict[str, int] = {}  # end of each HCP's latest unpinned claim
+    # the walk: a candidate is free once its latest unpinned claim ends by the start
+    bounds = np.searchsorted(pairs, np.arange(len(vis) + 1) * len(cand)).tolist()
+    col = (pairs % len(cand)).tolist()
+    draw = ReplayedDraws(np.random.default_rng(seed), len(vis)).integers
+    last_end = [-math.inf] * len(cand)  # end of each candidate's latest unpinned claim
+    picks = [-1] * len(vis)
+    walk = zip(range(len(vis)), v_start.tolist(), v_end.tolist(), bounds, bounds[1:])
+    for i, s, e, lo, hi in walk:
+        ok = [c for c in col[lo:hi] if last_end[c] <= s]
+        if ok:
+            c = ok[draw(len(ok))]
+            picks[i] = cand[c]
+            last_end[c] = e
 
-    def is_free(p: str, start: int, end: int) -> bool:
-        if last_end.get(p, start) > start:
-            return False
-        iv = fixed.get(p, ())
-        j = bisect.bisect_left(iv, (end,))
-        return j == 0 or iv[j - 1][1] <= start
-
-    for i, v in enumerate(g.visits):
-        if assigned[i] is not None:
-            continue
-        group = g.hcps.types[v.hcp]
-        free = [p for p in members[(group, location_bubble[v.location])]
-                if is_free(p, v.start_s, v.end_s)]
-        if not free:
-            continue
-        pick = free[int(rng.integers(len(free)))]
-        assigned[i] = pick
-        last_end[pick] = v.end_s
-
-    return RewiredGraph(source=g, clustering=clustering, assigned=tuple(assigned))
+    new = np.where(pinned, hcp, -1)
+    new[vis] = picks
+    names = (*hcp_ids, None)  # -1 is the dropped visit's None
+    return RewiredGraph(source=g, clustering=clustering,
+                        assigned=tuple(map(names.__getitem__, new.tolist())))
 
 
 def random_clustering(

@@ -2,15 +2,21 @@
 
 mc_directed_weight samples the pickup/deposit process that weight_matrix
 computes in closed form; contact_infection_prob is the per-contact
-infection rule that the outbreak kernel applies to whole days at once.
+infection rule that the outbreak kernel applies to whole days at once;
+scalar_rewire is rewire's greedy walk one Visit at a time, with one scalar
+rng.integers draw per pick, which rewire replays from the log's columns.
 """
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
+from corn.clustering import BubbleClustering
 from corn.errors import ConfigError
 from corn.model import VisitGraph
+from corn.rewiring import check_coverage
 from corn.weights import _event_sequence
 
 
@@ -45,3 +51,58 @@ def contact_infection_prob(d_minutes: float, beta: float, rho: float) -> float:
     if d_minutes < 0:
         raise ConfigError("contact duration must be >= 0")
     return min(1.0, rho * d_minutes * beta)
+
+
+def scalar_rewire(
+    g: VisitGraph,
+    clustering: BubbleClustering,
+    seed: int,
+    keep_same_bubble_hcp: bool = False,
+) -> tuple[str | None, ...]:
+    """The assigned HCP of each visit of g, walking the visits in graph order.
+
+    Pinned visits keep their HCP. Each other visit goes to a free member of
+    its HCP's group in its room's bubble, members in name order, picked by
+    one rng.integers(len(free)) call; with none free it is dropped (None).
+    HCP p is free when its latest unpinned claim ends at or before the visit
+    starts and the last of its pinned intervals that starts before the visit
+    ends also ends by then.
+    """
+    check_coverage(g, clustering)
+    rng = np.random.default_rng(seed)
+    ns_hcps = set(g.hcps.non_substitutable)
+    ns_locs = set(g.locations.non_substitutable)
+    hcp_bubble, location_bubble = clustering.hcp_bubble, clustering.location_bubble
+    assigned: list[str | None] = [None] * len(g.visits)
+    fixed: dict[str, list[tuple[int, int]]] = {}  # pinned intervals per HCP, in start order
+    for i, v in enumerate(g.visits):
+        if (v.hcp in ns_hcps or v.location in ns_locs or keep_same_bubble_hcp
+                and hcp_bubble[v.hcp] == location_bubble[v.location]):
+            assigned[i] = v.hcp
+            fixed.setdefault(v.hcp, []).append((v.start_s, v.end_s))
+
+    members = {(lab, b): tuple(sorted(p for p in g.hcps.members(lab) if hcp_bubble[p] == b))
+               for lab in g.hcps.group_labels for b in range(1, clustering.k + 1)}
+
+    last_end: dict[str, int] = {}  # end of each HCP's latest unpinned claim
+
+    def is_free(p: str, start: int, end: int) -> bool:
+        if last_end.get(p, start) > start:
+            return False
+        iv = fixed.get(p, ())
+        j = bisect.bisect_left(iv, (end,))
+        return j == 0 or iv[j - 1][1] <= start
+
+    for i, v in enumerate(g.visits):
+        if assigned[i] is not None:
+            continue
+        group = g.hcps.types[v.hcp]
+        free = [p for p in members[(group, location_bubble[v.location])]
+                if is_free(p, v.start_s, v.end_s)]
+        if not free:
+            continue
+        pick = free[int(rng.integers(len(free)))]
+        assigned[i] = pick
+        last_end[pick] = v.end_s
+
+    return tuple(assigned)

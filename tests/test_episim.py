@@ -291,6 +291,15 @@ class TestSimulate:
         cfg = SimConfig(disease=disease(0.02), replicates=30, seed=5)
         assert simulate(g, c, cfg) == simulate(g, c, cfg)
 
+    def test_schedule_in_place_of_its_log(self, monkeypatch):
+        g, c = two_bubble_graph()
+        rw = rewire(g, c, seed=1)
+        cfg = SimConfig(disease=disease(0.02), replicates=30, seed=5)
+        want = [simulate(g, c, cfg), simulate(rw, None, cfg)]
+        scheds = [ContactSchedule(g), ContactSchedule(rw)]
+        monkeypatch.setattr(corn.episim, "build_contact_schedule", None)  # nothing is rebuilt
+        assert [simulate(scheds[0], c, cfg), simulate(scheds[1], None, cfg)] == want
+
     def test_seed_group_selection(self):
         # two members in the first group "a", one in "b": seeds come from "a" only
         rows = [("p1", "la", 0, 3600), ("p3", "la", DAY, DAY + 3600),
@@ -416,6 +425,13 @@ class TestCalibration:
         cfg = SimConfig(disease=disease(0.0), replicates=10)
         with pytest.raises(ConfigError):
             calibrate_rho(solo_graph(), math.nan, cfg)
+
+    def test_schedule_in_place_of_its_log(self, monkeypatch):
+        cfg = SimConfig(disease=disease(0.0), replicates=200, casual=NO_CASUAL)
+        want = calibrate_rho(solo_graph(), 0.5, cfg)
+        sched = ContactSchedule(solo_graph())
+        monkeypatch.setattr(corn.episim, "build_contact_schedule", None)  # nothing is rebuilt
+        assert calibrate_rho(sched, 0.5, cfg) == want
 
     def test_each_evaluation_runs_once(self, monkeypatch):
         calls = []

@@ -17,14 +17,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import corn.episim
+import corn.pipeline
 from corn.clustering import load_clustering
 from corn.episim import ContactSchedule, DiseaseParams, SimConfig, estimate_r0, simulate
+from corn.model import compute_loads_demands
 from corn.optimizer import ClusterInstance, verify_clustering
 from corn.pipeline import ExperimentConfig, derive_seed, run_experiment
 from corn.rewiring import compute_costs, random_clustering, rewire, write_cost_csv
 from corn.spatial import shortest_path_metric
 from corn.synth import FacilitySpec, generate_facility, generate_mobility
 from corn.weights import weight_matrix
+
+from .oracles import scalar_rewire
 
 SPEC = FacilitySpec(
     rooms=6, hallway_nodes=3, hcp_groups=(("n", 4),),
@@ -41,6 +46,9 @@ TWO_GROUPS = ExperimentConfig(
     facility=replace(SPEC, hcp_groups=(("n", 4), ("a", 3))), k_list=(2,), replicates=8,
     seed=0, rho=0.002, cost_rewirings=1,
 )
+# the lowest load cap on the nearest 0.1 h/day that the two groups can meet at K=2;
+# it moves the rooms of the uncapped optimum
+TWO_GROUPS_CAP = 4.4
 # spawn keys of the pipeline's seed namespaces
 NS_REWIRE = {"corn": 2, "random": 3}
 NS_CLUSTER_RANDOM = 4
@@ -101,6 +109,19 @@ class TestTwoWorkers:
         assert json.loads((one / "params.json").read_text())["source"] == "calibrated"
         hashes = tree_hashes(one)
         assert hashes and hashes == tree_hashes(two)
+
+
+def test_base_schedule_built_once(tmp_path, monkeypatch):
+    # calibration and the baseline arm share one schedule of the base log
+    built = []
+    for module in (corn.episim, corn.pipeline):
+        def counted(g, build=module.build_contact_schedule):
+            built.append(type(g).__name__)
+            return build(g)
+        monkeypatch.setattr(module, "build_contact_schedule", counted)
+    run_experiment(replace(CFG, k_list=(2,), replicates=2), tmp_path / "out")
+    assert built.count("VisitGraph") == 1
+    assert built.count("RewiredGraph") == 4
 
 
 class TestCostRows:
@@ -172,6 +193,48 @@ class TestTwoGroups:
                     if h != v.hcp:
                         moved.add(types[h])
         assert moved == {"n", "a"}
+
+    @pytest.fixture(scope="class")
+    def capped(self, tmp_path_factory):
+        cfg = replace(TWO_GROUPS, y_star_h=TWO_GROUPS_CAP)
+        return cfg, run_experiment(cfg, tmp_path_factory.mktemp("groups_capped") / "out")
+
+    def test_capped_bubbles_cover_each_groups_load(self, study, capped):
+        _, free, g = study
+        cfg, result = capped
+        c = result.clusterings[2]
+        params = json.loads((result.out_dir / "reports" / "params.json").read_text())
+        assert params["y_star_h"] == repr(TWO_GROUPS_CAP)
+        loads = compute_loads_demands(g)
+        for lab in g.hcps.group_labels:
+            for b in (1, 2):
+                demand = sum(loads.demands[l] for l in c.locations_in(b))
+                load = sum(loads.loads.get(p, 0.0) for p in g.hcps.members(lab)
+                           if c.hcp_bubble[p] == b)
+                assert demand - load <= TWO_GROUPS_CAP + 1e-9
+        w = weight_matrix(g, params["z_per_interval"], cfg.unit_s, hcp_scope=cfg.hcp_scope)
+        inst = ClusterInstance(weights=w, hcps=g.hcps, k=2, y_star_h=TWO_GROUPS_CAP, loads=loads)
+        assert verify_clustering(c, inst) == []
+        # the cap binds: the uncapped optimum breaks it
+        assert c.location_bubble != free.clusterings[2].location_bubble
+        assert verify_clustering(free.clusterings[2], inst) != []
+
+    @pytest.mark.parametrize("method", ["corn", "random"])
+    def test_capped_arms_rewire_as_the_scalar_walk(self, study, capped, method):
+        _, _, g = study
+        cfg, result = capped
+        reports = result.out_dir / "reports"
+        rows = json.loads((reports / f"costs_{method}_k2.json").read_text())["per_rewiring"]
+        assert len(rows) == cfg.cost_rewirings
+        for r in range(cfg.replicates):
+            c = result.clusterings[2] if method == "corn" else random_clustering(
+                g.hcps, g.locations.substitutable, 2,
+                seed=derive_seed(cfg.seed, NS_CLUSTER_RANDOM, 2, r))
+            seed = derive_seed(cfg.seed, NS_REWIRE[method], 2, r)
+            want = scalar_rewire(g, c, seed)
+            assert rewire(g, c, seed).assigned == want
+            if r < cfg.cost_rewirings:
+                assert rows[r]["dropped_visits"] == want.count(None)
 
     def test_seeds_come_from_the_first_group(self, study):
         _, result, g = study

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import functools
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +11,13 @@ from hypothesis import strategies as st
 from corn.clustering import BubbleClustering
 from corn.errors import ClusteringMismatchError, InvalidKError
 from corn.model import HcpRoster, compute_loads_demands
-from corn.rewiring import compute_costs, random_clustering, rewire, write_cost_csv
+from corn.rewiring import ReplayedDraws, compute_costs, random_clustering, rewire, write_cost_csv
 from corn.spatial import DistanceMatrix
+from corn.synth import generate_facility, generate_mobility
 
 from .conftest import make_graph, small_logs
+from .oracles import scalar_rewire
+from .test_pinned_rewiring import FACILITIES
 
 HOUR = 3600
 
@@ -153,10 +160,12 @@ class TestBruteForceReplay:
     @settings(max_examples=300, deadline=None)
     @given(small_logs(), st.integers(0, 2**16))
     def test_each_pick_is_free_and_drops_have_no_candidate(self, log, seed):
-        # replay in graph order; an HCP is busy over its pinned intervals and the
-        # visits it has already been given, each checked pair by pair
+        # every pick is the scalar walk's; then replay in graph order: an HCP is busy
+        # over its pinned intervals and the visits it has already been given, each
+        # checked pair by pair
         g, c, keep = log
         rw = rewire(g, c, seed=seed, keep_same_bubble_hcp=keep)
+        assert rw.assigned == scalar_rewire(g, c, seed, keep_same_bubble_hcp=keep)
         ns_hcps, ns_locs = set(g.hcps.non_substitutable), set(g.locations.non_substitutable)
         pinned = [v.hcp in ns_hcps or v.location in ns_locs
                   or (keep and c.hcp_bubble[v.hcp] == c.location_bubble[v.location])
@@ -174,6 +183,104 @@ class TestBruteForceReplay:
             if got is not None:
                 assert got in free
                 busy.append((got, v))
+
+
+# the acceptance LTCF facility, and the same facility with a second nurse group
+ORACLE_FACILITIES = {
+    "ltcf": FACILITIES["ltcf"],
+    "ltcf_two_groups": replace(FACILITIES["ltcf"], hcp_groups=(("n", 12), ("a", 6))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_graph(name: str):
+    spec = ORACLE_FACILITIES[name]
+    return generate_mobility(generate_facility(spec), spec)
+
+
+class TestAgainstScalarWalk:
+    """rewire against scalar_rewire, the walk over Visits with one rng.integers call per pick."""
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("name", list(ORACLE_FACILITIES))
+    def test_facility_random_clusterings(self, name, k, keep):
+        g = oracle_graph(name)
+        for seed in range(4):
+            c = random_clustering(g.hcps, g.locations.substitutable, k, seed=seed)
+            assert (rewire(g, c, seed, keep_same_bubble_hcp=keep).assigned
+                    == scalar_rewire(g, c, seed, keep_same_bubble_hcp=keep))
+
+    def test_unpinned_hcp_single_candidate_and_drop(self):
+        # a2 has no pinned interval, and is r1's only free candidate at 0, as a1 is in
+        # the hall; at 10 it is busy too, so a2's own visit drops; r2's visit draws
+        # between a3 and a4, in name order, not roster order, with the seed's first
+        # draw, since a single candidate draws none
+        g = make_graph([("a1", "hall", 0, 100), ("a3", "r1", 0, 60), ("a2", "r1", 10, 50),
+                        ("a3", "r2", 100, 160)],
+                       {"a4": "g", "a3": "g", "a2": "g", "a1": "g"},
+                       {"r1": "s", "r2": "s", "hall": "ns"})
+        c = BubbleClustering(k=2, location_bubble={"r1": 1, "r2": 2},
+                             hcp_bubble={"a1": 1, "a2": 1, "a3": 2, "a4": 2})
+        last = set()
+        for seed in range(20):
+            got = rewire(g, c, seed).assigned
+            assert got == scalar_rewire(g, c, seed)
+            assert got[:3] == ("a2", "a1", None)
+            assert got[3] == ("a3", "a4")[np.random.default_rng(seed).integers(2)]
+            last.add(got[3])
+        assert last == {"a3", "a4"}
+
+
+class CountingGenerator:
+    """A Generator that counts its integers calls."""
+
+    def __init__(self, seed: int):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestReplayedDraws:
+    """ReplayedDraws(rng, block).integers(n) against numpy's rng.integers(n).
+
+    This is what fails first if a numpy release changes how Generator.integers
+    draws, and with it every rewiring.
+    """
+
+    @staticmethod
+    def check(ns: list[int], seed: int, block: int) -> int:
+        rng = CountingGenerator(seed)
+        draws = ReplayedDraws(rng, block)
+        want = np.random.default_rng(seed)
+        assert [draws.integers(n) for n in ns] == [int(want.integers(n)) for n in ns]
+        return rng.calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_bounds(self, seed):
+        ns = [int(n) for n in np.random.default_rng(100 + seed).integers(1, 13, size=500)]
+        assert ns.count(1) > 0
+        assert self.check(ns, seed, block=len(ns)) == 1
+
+    def test_single_choice_draws_nothing(self):
+        assert self.check([1] * 50 + [3], seed=4, block=8) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rejections_extend_the_block(self, seed):
+        # n = 2**31 + 1 rejects about half of the raw draws, so one block of
+        # one raw draw per pick runs out
+        ns = [2**31 + 1] * 200 + [2, 5, 1, 7]
+        assert self.check(ns, seed, block=len(ns)) > 1
+
+    def test_small_blocks(self):
+        ns = [int(n) for n in np.random.default_rng(7).integers(1, 40, size=300)]
+        assert self.check(ns, seed=9, block=1) > 200
+        assert self.check(ns, seed=9, block=7) > 20
+
+    def test_largest_bound(self):
+        self.check([2**32, 2**32 - 1, 2**32, 3], seed=5, block=2)
 
 
 class TestConservation:
