@@ -32,6 +32,7 @@ from .model import (
     compute_loads_demands,
     load_hcp_roster,
     load_location_roster,
+    load_mobility_log,
     read_mobility_log,
     validate,
     write_hcp_roster,
@@ -80,9 +81,10 @@ def _resolve_z(args) -> float:
 
 
 def _load_inputs(args):
+    """The rosters and the validated log; ValidationError names the first violation."""
     hcps = load_hcp_roster(args.hcps)
     locations = load_location_roster(args.locations)
-    graph = read_mobility_log(args.visits, hcps, locations)
+    graph = load_mobility_log(args.visits, hcps, locations)
     return hcps, locations, graph
 
 
@@ -109,7 +111,9 @@ def _finish_manifest(m: RunManifest, out_dir: Path) -> None:
 # -- validate ---------------------------------------------------------------
 
 def cmd_validate(args, argv) -> int:
-    hcps, locations, graph = _load_inputs(args)
+    hcps = load_hcp_roster(args.hcps)
+    locations = load_location_roster(args.locations)
+    graph = read_mobility_log(args.visits, hcps, locations)
     problems = validate(graph)
     if args.spatial is not None:
         spatial = load_spatial_graph(args.spatial)
@@ -157,7 +161,6 @@ def cmd_weights(args, argv) -> int:
     m = _start_manifest("weights", argv, cfg, args.seed,
                         _input_hashes(args, ("hcps", "locations", "visits")))
     hcps, locations, graph = _load_inputs(args)
-    _fail_on_violations(graph)
     wm = weight_matrix(graph, z, args.unit_s, hcp_scope=args.hcp_scope)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,20 +170,10 @@ def cmd_weights(args, argv) -> int:
     return EXIT_OK
 
 
-def _fail_on_violations(graph) -> None:
-    problems = validate(graph)
-    if problems:
-        first = problems[0]
-        raise CornError(
-            f"inputs fail validation: {first.rule} ({first.entity}): {first.detail} "
-            f"[{len(problems)} total]; run the validate command for the full list")
-
-
 # -- cluster / export-model --------------------------------------------------
 
 def _build_instance(args) -> ClusterInstance:
     hcps, locations, graph = _load_inputs(args)
-    _fail_on_violations(graph)
     z = _resolve_z(args)
     wm = weight_matrix(graph, z, args.unit_s, hcp_scope=args.hcp_scope)
     dist = None
@@ -251,7 +244,6 @@ def cmd_export_model(args, argv) -> int:
 
 def cmd_simulate(args, argv) -> int:
     hcps, locations, graph = _load_inputs(args)
-    _fail_on_violations(graph)
     clustering = load_clustering(args.clustering) if args.clustering else None
     cfg = ExperimentConfig(**_config_fields(args)).sim_config(
         args.rho, args.replicates, args.seed)

@@ -246,10 +246,9 @@ class ContactSchedule:
         order = np.lexsort((ev_v * n + ev_o, (a * self.n_agents + b) * n_loc + loc_rank[ev_l], t))
         dur = np.concatenate(((end[room] - start[room]) / 60.0, overlap_s / 60.0))
         hh = np.arange(len(order)) >= n_res  # only HCP-HCP contacts are bubble-damped
-        self.ev_t, self.ev_a, self.ev_b, self.ev_dur, self.ev_hh = (
-            x[order] for x in (t, a, b, dur, hh))
+        self.ev_t, self.ev_a, self.ev_b, self.ev_l, self.ev_dur, self.ev_hh = (
+            x[order] for x in (t, a, b, ev_l, dur, hh))  # ev_l: index into locations.ids
         self.ev_day = self.ev_t // SECONDS_PER_DAY
-        self.ev_loc = tuple(np.array(loc_ids, dtype=object)[ev_l[order]])
         self.n_events = len(order)
         self._thresholds: tuple | None = None  # (key, replicate, least rho) of the last config
 
@@ -385,7 +384,7 @@ def _run_replicate(
             src = np.concatenate((s_src, c_src))
             for i in first.tolist():
                 if i < len(si):
-                    t_s, loc = int(sched.ev_t[si[i]]), sched.ev_loc[si[i]]
+                    t_s, loc = int(sched.ev_t[si[i]]), sched.graph.locations.ids[sched.ev_l[si[i]]]
                 else:
                     t_s, loc = day * SECONDS_PER_DAY, CASUAL_LOCATION
                 log.append(TransmissionEvent(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -35,6 +36,10 @@ class Visit:
     @property
     def duration_s(self) -> int:
         return self.end_s - self.start_s
+
+
+# Visit's own order, compared as one tuple instead of through Visit.__lt__
+_VISIT_ORDER = operator.attrgetter("start_s", "end_s", "hcp", "location")
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,7 @@ class VisitGraph:
 
     @staticmethod
     def build(hcps: HcpRoster, locations: LocationRoster, visits: Iterable[Visit]) -> "VisitGraph":
-        return VisitGraph(hcps, locations, tuple(sorted(visits)))
+        return VisitGraph(hcps, locations, tuple(sorted(visits, key=_VISIT_ORDER)))
 
     @functools.cached_property
     def columns(self) -> VisitColumns:
@@ -220,7 +225,8 @@ def load_mobility_log(
     problems = validate(g)
     if problems:
         first = problems[0]
-        raise ValidationError(f"{path}: {first.rule} ({first.entity}): {first.detail} [{len(problems)} total]")
+        raise ValidationError(f"{path}: {first.rule} ({first.entity}): {first.detail} "
+                              f"[{len(problems)} total]; run the validate command for the full list")
     return g
 
 

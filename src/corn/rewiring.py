@@ -30,10 +30,12 @@ one block of raw 32-bit draws of the same generator, one per unpinned
 visit, and draws another block only if rejections use it up. So each
 pick is the one a scalar rng.integers(n) call per pick would make.
 
-A rewiring is its source log plus assigned, the HCP of each source visit.
-Contact schedules read RewiredGraph.columns, the rewired log's columns
-re-sorted from the source's; cost reports read the source log's columns
-with assigned. RewiredGraph.graph builds the rewired log only on first read.
+A rewiring is its source log plus assigned, the int64 column that the
+walk fills: per source visit, its new HCP's index into hcps.ids, or -1
+where it was dropped. Contact schedules read RewiredGraph.columns, the
+rewired log's columns re-sorted from the source's; cost reports read the
+source log's columns with assigned. Only RewiredGraph.graph, the rewired
+log built on first read, turns the column into HCP names.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .optimizer.model import check_k
 from .spatial import DistanceMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RewiredGraph:
     """A rewiring of source: the HCP each source visit goes to, if any.
 
@@ -67,7 +69,7 @@ class RewiredGraph:
 
     source: VisitGraph
     clustering: BubbleClustering
-    assigned: tuple[str | None, ...]  # per source visit; None means dropped
+    assigned: np.ndarray  # int64 per source visit: index into hcps.ids, -1 where dropped
 
     @property
     def hcps(self) -> HcpRoster:
@@ -79,21 +81,14 @@ class RewiredGraph:
 
     @property
     def dropped_count(self) -> int:
-        return sum(1 for h in self.assigned if h is None)
-
-    @functools.cached_property
-    def assigned_index(self) -> np.ndarray:
-        """assigned as int64 indices into source.hcps.ids, -1 where dropped."""
-        hi = {h: i for i, h in enumerate(self.source.hcps.ids)}
-        hi[None] = -1
-        return np.array([hi[h] for h in self.assigned], dtype=np.int64)
+        return int(np.count_nonzero(self.assigned < 0))
 
     @functools.cached_property
     def columns(self) -> VisitColumns:
         """The rewired log's columns: each kept visit under its new HCP, in VisitGraph.build order."""
         start, end, _, loc = self.source.columns
-        kept = self.assigned_index >= 0
-        start, end, hcp, loc = start[kept], end[kept], self.assigned_index[kept], loc[kept]
+        kept = self.assigned >= 0
+        start, end, hcp, loc = start[kept], end[kept], self.assigned[kept], loc[kept]
         # the source is sorted by (start, end), so only runs of equal (start, end)
         # move: VisitGraph.build orders each run by HCP name, then location name
         n_loc = len(self.locations.ids)
@@ -110,10 +105,10 @@ class RewiredGraph:
     @functools.cached_property
     def graph(self) -> VisitGraph:
         """The rewired log: each kept visit under its new HCP, in VisitGraph.build order."""
-        src = self.source
+        src, ids = self.source, self.hcps.ids
         return VisitGraph.build(src.hcps, src.locations, [
-            Visit(v.start_s, v.end_s, h, v.location)
-            for v, h in zip(src.visits, self.assigned) if h is not None])
+            Visit(v.start_s, v.end_s, ids[h], v.location)
+            for v, h in zip(src.visits, self.assigned.tolist()) if h >= 0])
 
 
 def check_coverage(g: VisitGraph | RewiredGraph, c: BubbleClustering) -> None:
@@ -206,11 +201,10 @@ def rewire(
             picks[i] = cand[c]
             last_end[c] = e
 
-    new = np.where(pinned, hcp, -1)
-    new[vis] = picks
-    names = (*hcp_ids, None)  # -1 is the dropped visit's None
-    return RewiredGraph(source=g, clustering=clustering,
-                        assigned=tuple(map(names.__getitem__, new.tolist())))
+    assigned = np.where(pinned, hcp, -1)
+    assigned[vis] = picks
+    assigned.flags.writeable = False
+    return RewiredGraph(source=g, clustering=clustering, assigned=assigned)
 
 
 def random_clustering(
@@ -262,7 +256,7 @@ class CostReport:
 def compute_costs(rw: RewiredGraph, dist: DistanceMatrix) -> CostReport:
     """Costs of the rewired log against rw.source, per day of the source log.
 
-    Read from the source log's columns and rw.assigned_index. Exact because
+    Read from the source log's columns and rw.assigned. Exact because
     rewiring keeps each visit's interval and location and each HCP's visits
     are disjoint in both logs: the source log's chronological order walks
     every HCP's base and rewired visits in time order, and footsteps are
@@ -272,8 +266,8 @@ def compute_costs(rw: RewiredGraph, dist: DistanceMatrix) -> CostReport:
     """
     src, c, days = rw.source, rw.clustering, rw.source.day_count
     start, end, base_hcp, loc = src.columns
-    kept = rw.assigned_index >= 0
-    new_hcp, new_loc = rw.assigned_index[kept], loc[kept]
+    kept = rw.assigned >= 0
+    new_hcp, new_loc = rw.assigned[kept], loc[kept]
     secs = end - start
     hcps, locs = src.hcps.ids, src.locations.ids
     nh = len(hcps)

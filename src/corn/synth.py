@@ -192,15 +192,12 @@ def _caseloads(spec: FacilitySpec, rng: np.random.Generator) -> list[tuple[str, 
         pool = list(rooms[a:b])
         rng.shuffle(pool)
         cursors.append(pool)
-    spare = [r for pool in cursors for r in pool]  # fallback if a zone runs dry
 
     def take(zone: int) -> str:
+        """The next room of zone, or of the next zone with one left."""
         for z in [zone] + [(zone + d) % spec.zones for d in range(1, spec.zones)]:
-            while cursors[z]:
-                room = cursors[z].pop()
-                if room in spare:
-                    spare.remove(room)
-                    return room
+            if cursors[z]:
+                return cursors[z].pop()
         raise SpecError("not enough rooms for the requested ns caseloads")
 
     n_far = round(spec.non_substitutable * spec.ns_far_fraction)

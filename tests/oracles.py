@@ -4,7 +4,8 @@ mc_directed_weight samples the pickup/deposit process that weight_matrix
 computes in closed form; contact_infection_prob is the per-contact
 infection rule that the outbreak kernel applies to whole days at once;
 scalar_rewire is rewire's greedy walk one Visit at a time, with one scalar
-rng.integers draw per pick, which rewire replays from the log's columns.
+rng.integers draw per pick, which rewire replays from the log's columns;
+assigned_names reads a rewiring's HCP-index column as the walk's names.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from corn.clustering import BubbleClustering
 from corn.errors import ConfigError
 from corn.model import VisitGraph
-from corn.rewiring import check_coverage
+from corn.rewiring import RewiredGraph, check_coverage
 from corn.weights import _event_sequence
 
 
@@ -106,3 +107,9 @@ def scalar_rewire(
         last_end[pick] = v.end_s
 
     return tuple(assigned)
+
+
+def assigned_names(rw: RewiredGraph) -> tuple[str | None, ...]:
+    """rw.assigned as HCP names per source visit, None where the visit was dropped."""
+    ids = rw.hcps.ids
+    return tuple(ids[i] if i >= 0 else None for i in rw.assigned.tolist())

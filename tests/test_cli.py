@@ -97,6 +97,17 @@ def input_args(d):
             "--visits", str(d / "visits.csv")]
 
 
+def overlapping_inputs(inputs: Path, tmp_path: Path) -> Path:
+    """A copy of inputs whose log repeats its first visit a minute later, an overlap."""
+    for name in ("hcps.csv", "locations.csv"):
+        (tmp_path / name).write_bytes((inputs / name).read_bytes())
+    rows = (inputs / "visits.csv").read_text().splitlines()
+    hcp, loc, start, end = rows[1].split(",")
+    dup = [hcp, loc, str(int(start) + 60), str(int(end) + 60)]
+    (tmp_path / "visits.csv").write_text("\n".join(rows + [",".join(dup)]) + "\n")
+    return tmp_path
+
+
 class TestSynthValidate:
     def test_synth_writes_inputs(self, inputs):
         for name in ("facility.json", "hcps.csv", "locations.csv", "visits.csv",
@@ -110,17 +121,25 @@ class TestSynthValidate:
         assert capsys.readouterr().out.startswith("OK:")
 
     def test_validate_reports_overlap(self, inputs, tmp_path, capsys):
-        bad = tmp_path / "visits.csv"
-        rows = (inputs / "visits.csv").read_text().splitlines()
-        hcp, loc, start, end = rows[1].split(",")
-        dup = [hcp, loc, str(int(start) + 60), str(int(end) + 60)]
-        bad.write_text("\n".join(rows + [",".join(dup)]) + "\n")
-        rc = main(["validate", "--hcps", str(inputs / "hcps.csv"),
-                   "--locations", str(inputs / "locations.csv"),
-                   "--visits", str(bad)])
+        rc = main(["validate", *input_args(overlapping_inputs(inputs, tmp_path))])
         assert rc == EXIT_FAIL
         out = capsys.readouterr().out
         assert "VIOLATION" in out and "overlap" in out
+
+    @pytest.mark.parametrize("command,flags", [
+        ("weights", ["--rho", "0.001"]),
+        ("cluster", ["--rho", "0.001", "--k", "2"]),
+        ("export-model", ["--rho", "0.001", "--k", "2"]),
+        ("simulate", ["--rho", "0.002", "--replicates", "1"]),
+    ])
+    def test_overlap_fails_other_commands(self, inputs, tmp_path, capsys, command, flags):
+        out = tmp_path / "out"
+        rc = main([command, *input_args(overlapping_inputs(inputs, tmp_path)), *flags,
+                   "--out", str(out)])
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert "overlap" in err and "run the validate command for the full list" in err
+        assert not out.exists()
 
     def test_missing_file_usage_error(self, inputs, tmp_path, capsys):
         rc = main(["validate", "--hcps", str(tmp_path / "nope.csv"),

@@ -168,23 +168,23 @@ class TestContactSchedule:
                                  overlap_s / 60.0, True))
         want.sort(key=lambda e: e[:4])
         s = ContactSchedule(g)
-        got = list(zip(s.ev_t.tolist(), s.ev_a.tolist(), s.ev_b.tolist(), s.ev_loc,
+        loc = [g.locations.ids[i] for i in s.ev_l.tolist()]
+        got = list(zip(s.ev_t.tolist(), s.ev_a.tolist(), s.ev_b.tolist(), loc,
                        s.ev_dur.tolist(), s.ev_hh.tolist()))
         assert got == want
         assert s.n_events == len(want)
         assert s.ev_day.tolist() == [e[0] // DAY for e in want]
-        assert [a.dtype for a in (s.ev_t, s.ev_day, s.ev_a, s.ev_b, s.ev_dur, s.ev_hh)] \
-            == [np.int64, np.int64, np.int64, np.int64, np.float64, np.bool_]
+        assert [a.dtype for a in (s.ev_t, s.ev_day, s.ev_a, s.ev_b, s.ev_l, s.ev_dur, s.ev_hh)] \
+            == [np.int64, np.int64, np.int64, np.int64, np.int64, np.float64, np.bool_]
 
 
-SCHEDULE_FIELDS = ("ev_t", "ev_day", "ev_a", "ev_b", "ev_dur", "ev_hh")
+SCHEDULE_FIELDS = ("ev_t", "ev_day", "ev_a", "ev_b", "ev_l", "ev_dur", "ev_hh")
 
 
 def assert_same_schedule(got: ContactSchedule, want: ContactSchedule) -> None:
     for name in SCHEDULE_FIELDS:
         x, y = getattr(got, name), getattr(want, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
-    assert got.ev_loc == want.ev_loc
     assert got.n_events == want.n_events
     assert (got.agent_ids, got.seed_members) == (want.agent_ids, want.seed_members)
 
@@ -209,7 +209,7 @@ class TestRewiredSchedule:
         g = make_graph(rows, {"p1": "g", "p2": "g", "x": "g"}, {"la": "s"})
         c = BubbleClustering(k=1, location_bubble={"la": 1},
                              hcp_bubble={"p1": 1, "p2": 1, "x": 1})
-        rw = RewiredGraph(source=g, clustering=c, assigned=("x", "p2"))
+        rw = RewiredGraph(source=g, clustering=c, assigned=np.array([2, 1]))  # x, p2
         s = ContactSchedule(rw)
         assert_same_schedule(s, ContactSchedule(rw.graph))
         hh = s.ev_hh.nonzero()[0]
@@ -227,7 +227,7 @@ class TestRewiredSchedule:
         assert s.ev_b.tolist() == [1, 1, 1, 1, 2, 2, 2, 2]
         assert s.ev_hh.tolist() == [True] * 4 + [False] * 4
         c = BubbleClustering(k=1, location_bubble={"r": 1}, hcp_bubble={"a": 1, "b": 1})
-        rw = RewiredGraph(source=g, clustering=c, assigned=("a", "a", "b", "b"))
+        rw = RewiredGraph(source=g, clustering=c, assigned=np.array([0, 0, 1, 1]))  # a a b b
         assert_same_schedule(ContactSchedule(rw), s)
 
 

@@ -124,7 +124,8 @@ def scalar_replicate(sched, clustering, cfg: SimConfig, horizon: int, rep: int,
     for day in range(horizon):
         for i in np.flatnonzero(sched.ev_day == day):
             attempt(day, int(sched.ev_a[i]), int(sched.ev_b[i]), float(sched.ev_dur[i]),
-                    float(u_sched[i]), int(sched.ev_t[i]), sched.ev_loc[i], bool(sched.ev_hh[i]))
+                    float(u_sched[i]), int(sched.ev_t[i]), sched.graph.locations.ids[sched.ev_l[i]],
+                    bool(sched.ev_hh[i]))
         for a, b in contacts[day]:
             attempt(day, a, b, casual.duration_min, float(next(u_casual)),
                     day * SECONDS_PER_DAY, CASUAL_LOCATION, True)

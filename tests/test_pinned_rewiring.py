@@ -1,8 +1,8 @@
 """Rewiring and contact schedules against pinned outputs.
 
-data/pinned_rewiring.json holds rewire(...).assigned on two synthetic
-facilities and the sha256 of every ContactSchedule array of a base and a
-rewired graph. Any change to which HCP a visit goes to, to the random
+data/pinned_rewiring.json holds rewire(...).assigned, as HCP names, on two
+synthetic facilities and the sha256 of every ContactSchedule array of a
+base and a rewired graph. Any change to which HCP a visit goes to, to the random
 draws rewiring makes, or to the order or content of schedule events shows
 up here. Rewrite the file only for a change that is meant to move them:
 
@@ -26,6 +26,8 @@ import pytest
 from corn.episim import ContactSchedule
 from corn.rewiring import random_clustering, rewire
 from corn.synth import FacilitySpec, generate_facility, generate_mobility, zone_clustering
+
+from .oracles import assigned_names
 
 PINNED = Path(__file__).parent / "data" / "pinned_rewiring.json"
 SEEDS = (0, 1, 2)
@@ -87,7 +89,8 @@ def _schedule_digest(g) -> dict:
     s = ContactSchedule(g)
     out = {name: _sha(getattr(s, name).tobytes())
            for name in ("ev_day", "ev_t", "ev_dur", "ev_a", "ev_b", "ev_hh")}
-    out["ev_loc"] = _sha("\n".join(s.ev_loc).encode())
+    loc_ids = s.graph.locations.ids
+    out["ev_loc"] = _sha("\n".join(loc_ids[i] for i in s.ev_l.tolist()).encode())
     out["n_events"] = s.n_events
     return out
 
@@ -95,7 +98,7 @@ def _schedule_digest(g) -> dict:
 def _record() -> dict:
     rewired: dict[str, dict] = {name: {} for name in FACILITIES}
     for name, key, g, c, seed, keep in _rewiring_cases():
-        assigned = list(rewire(g, c, seed, keep_same_bubble_hcp=keep).assigned)
+        assigned = list(assigned_names(rewire(g, c, seed, keep_same_bubble_hcp=keep)))
         rewired[name][key] = assigned if name in VERBATIM else {
             "sha256": _sha(json.dumps(assigned).encode()),
             "dropped": assigned.count(None),

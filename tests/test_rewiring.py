@@ -16,7 +16,7 @@ from corn.spatial import DistanceMatrix
 from corn.synth import generate_facility, generate_mobility
 
 from .conftest import make_graph, small_logs
-from .oracles import scalar_rewire
+from .oracles import assigned_names, scalar_rewire
 from .test_pinned_rewiring import FACILITIES
 
 HOUR = 3600
@@ -54,6 +54,28 @@ def flat_metric(locs, d=5.0) -> DistanceMatrix:
     return DistanceMatrix(locations=tuple(locs), dist=dist)
 
 
+def pinned_visits(g, c: BubbleClustering, keep: bool) -> list[bool]:
+    """Per visit of g, whether rewire must leave it with its own HCP."""
+    ns_hcps, ns_locs = set(g.hcps.non_substitutable), set(g.locations.non_substitutable)
+    return [v.hcp in ns_hcps or v.location in ns_locs
+            or (keep and c.hcp_bubble[v.hcp] == c.location_bubble[v.location])
+            for v in g.visits]
+
+
+def assert_assigned_column(rw, keep: bool) -> None:
+    """rw.assigned is a read-only int64 column, one HCP index or -1 per source visit,
+    that leaves every pinned visit with its HCP."""
+    g, a = rw.source, rw.assigned
+    assert a.dtype == np.int64 and a.shape == (len(g.visits),)
+    assert ((a >= -1) & (a < len(g.hcps.ids))).all()
+    pinned = np.array(pinned_visits(g, rw.clustering, keep), dtype=bool)
+    assert np.array_equal(a[pinned], g.columns.hcp[pinned])
+    assert rw.dropped_count == assigned_names(rw).count(None)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[:1] = -1
+
+
 class TestGoldenInstance:
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
     def test_unmet_and_excess(self, seed):
@@ -67,7 +89,7 @@ class TestGoldenInstance:
         assert rep.excess_load["p5"] == pytest.approx(1.0)
         assert rep.excess_load["p6"] == pytest.approx(1.0)
         assert rw.dropped_count == 1
-        (lost,) = [v for v, h in zip(rw.source.visits, rw.assigned) if h is None]
+        (lost,) = [v for v, h in zip(rw.source.visits, assigned_names(rw)) if h is None]
         assert lost.hcp == "p3" and lost.location == "l4"
 
     def test_ns_visits_verbatim(self):
@@ -95,7 +117,7 @@ class TestRewireRules:
         base_labels = sorted((v.start_s, v.end_s, v.location) for v in g.visits)
         out_labels = [(v.start_s, v.end_s, v.location) for v in rw.graph.visits]
         dropped = [(v.start_s, v.end_s, v.location)
-                   for v, h in zip(g.visits, rw.assigned) if h is None]
+                   for v, h in zip(g.visits, assigned_names(rw)) if h is None]
         assert sorted(out_labels + dropped) == base_labels
 
     def test_determinism(self):
@@ -103,7 +125,7 @@ class TestRewireRules:
         a = rewire(g, golden_clustering(), seed=99)
         b = rewire(g, golden_clustering(), seed=99)
         assert a.graph == b.graph
-        assert a.assigned == b.assigned
+        assert np.array_equal(a.assigned, b.assigned)
 
     def test_single_hcp_identity(self):
         g = make_graph([("p1", "l1", 0, 60), ("p1", "l2", 120, 180)],
@@ -143,7 +165,7 @@ class TestRewireRules:
         g = golden_graph()
         c = golden_clustering()
         rw = rewire(g, c, seed=11)
-        for v, h in zip(g.visits, rw.assigned):
+        for v, h in zip(g.visits, assigned_names(rw)):
             if h is not None:
                 continue
             bubble = c.location_bubble[v.location]
@@ -165,13 +187,12 @@ class TestBruteForceReplay:
         # checked pair by pair
         g, c, keep = log
         rw = rewire(g, c, seed=seed, keep_same_bubble_hcp=keep)
-        assert rw.assigned == scalar_rewire(g, c, seed, keep_same_bubble_hcp=keep)
-        ns_hcps, ns_locs = set(g.hcps.non_substitutable), set(g.locations.non_substitutable)
-        pinned = [v.hcp in ns_hcps or v.location in ns_locs
-                  or (keep and c.hcp_bubble[v.hcp] == c.location_bubble[v.location])
-                  for v in g.visits]
+        names = assigned_names(rw)
+        assert names == scalar_rewire(g, c, seed, keep_same_bubble_hcp=keep)
+        assert_assigned_column(rw, keep)
+        pinned = pinned_visits(g, c, keep)
         busy = [(v.hcp, v) for v, pin in zip(g.visits, pinned) if pin]
-        for v, pin, got in zip(g.visits, pinned, rw.assigned):
+        for v, pin, got in zip(g.visits, pinned, names):
             if pin:
                 assert got == v.hcp
                 continue
@@ -208,8 +229,9 @@ class TestAgainstScalarWalk:
         g = oracle_graph(name)
         for seed in range(4):
             c = random_clustering(g.hcps, g.locations.substitutable, k, seed=seed)
-            assert (rewire(g, c, seed, keep_same_bubble_hcp=keep).assigned
-                    == scalar_rewire(g, c, seed, keep_same_bubble_hcp=keep))
+            rw = rewire(g, c, seed, keep_same_bubble_hcp=keep)
+            assert assigned_names(rw) == scalar_rewire(g, c, seed, keep_same_bubble_hcp=keep)
+            assert_assigned_column(rw, keep)
 
     def test_unpinned_hcp_single_candidate_and_drop(self):
         # a2 has no pinned interval, and is r1's only free candidate at 0, as a1 is in
@@ -224,7 +246,9 @@ class TestAgainstScalarWalk:
                              hcp_bubble={"a1": 1, "a2": 1, "a3": 2, "a4": 2})
         last = set()
         for seed in range(20):
-            got = rewire(g, c, seed).assigned
+            rw = rewire(g, c, seed)
+            assert_assigned_column(rw, keep=False)
+            got = assigned_names(rw)
             assert got == scalar_rewire(g, c, seed)
             assert got[:3] == ("a2", "a1", None)
             assert got[3] == ("a3", "a4")[np.random.default_rng(seed).integers(2)]
@@ -340,7 +364,7 @@ class TestCosts:
         one = BubbleClustering(k=1, location_bubble=dict.fromkeys(g.locations.substitutable, 1),
                                hcp_bubble=dict.fromkeys(g.hcps.substitutable, 1))
         rw = rewire(g, one, seed=0, keep_same_bubble_hcp=True)
-        assert rw.assigned == tuple(v.hcp for v in g.visits)
+        assert assigned_names(rw) == tuple(v.hcp for v in g.visits)
         rep = compute_costs(rw, flat_metric(["l1", "l2", "l3", "l4"]))
         assert all(v == 0.0 for v in rep.excess_load.values())
         assert all(v == 0.0 for v in rep.unmet_demand.values())
@@ -356,7 +380,7 @@ class TestCosts:
         c = BubbleClustering(k=2, location_bubble={"la": 1, "lb": 1, "lc": 2},
                              hcp_bubble={"p1": 1, "p2": 2})
         rw = rewire(base, c, seed=0)
-        assert rw.assigned == ("p1", "p1")
+        assert assigned_names(rw) == ("p1", "p1")
         rep = compute_costs(rw, dist)
         assert rep.footsteps["p1"] == pytest.approx(12.0)
         assert rep.excess_footsteps["p1"] == pytest.approx(12.0)
@@ -384,7 +408,7 @@ class TestCosts:
         c = BubbleClustering(k=2, location_bubble={"l1": 1, "l2": 2},
                              hcp_bubble={"p1": 1, "q1": 1, "p2": 2})
         rw = rewire(g, c, seed=0)
-        assert rw.assigned == ("p2", "p1", "p2", "q1", "p2", None)
+        assert assigned_names(rw) == ("p2", "p1", "p2", "q1", "p2", None)
         assert (rw.source.day_count, rw.graph.day_count) == (2, 1)
         d = {("l1", "l2"): 10.0, ("l1", "hall"): 4.0, ("l2", "hall"): 6.0}
         d.update({(b, a): x for (a, b), x in list(d.items())})
