@@ -259,7 +259,7 @@ def validate(g: VisitGraph) -> list[Violation]:
     for v in g.visits:
         by_hcp.setdefault(v.hcp, []).append(v)
     for hcp, vs in by_hcp.items():
-        vs.sort()
+        vs.sort(key=_VISIT_ORDER)
         for a, b in zip(vs, vs[1:]):
             if b.start_s < a.end_s:
                 out.append(

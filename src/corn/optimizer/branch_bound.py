@@ -6,6 +6,15 @@ empty one. Nodes are pruned by a combinatorial lower bound (committed cut
 + cheapest attachment per unassigned location + a capacity argument over
 still-unassigned pairs) and, on small instances, by an LP relaxation.
 
+Two invariants of the search let that bound read plain slices:
+- Unassigned locations are a suffix. Locations are assigned in order, so at
+  depth pos the unassigned ones are pos..n-1, and the unassigned pairs are
+  those whose lower index is >= pos. Their ascending weights are tabled per
+  depth once, for the capacity term.
+- Open bubbles are a prefix. A new bubble is always the first empty one and
+  bubbles empty in LIFO order, so the open ones are 0..opened-1 and the
+  attachment costs of the unassigned locations are sum_in[:opened, pos:].
+
 HCP-to-bubble assignment never affects the objective, so it is resolved
 per leaf: a feasibility search per group over balanced counts and, when
 the load-gap cap is finite, per-bubble load coverage.
@@ -143,14 +152,17 @@ class _Search:
         self.pair_w = ws[asc]
         self.pair_i = ii[pos][asc]
         self.pair_j = jj[pos][asc]
+        # free_w[pos]: weights of the pairs with both ends unassigned at depth pos
+        self.free_w = [self.pair_w[self.pair_i >= p] for p in range(self.n + 1)]
 
-        self.bubble = np.full(self.n, -1, dtype=int)
         self.size = [0] * self.K
         self.members: list[list[int]] = [[] for _ in range(self.K)]
-        self.sum_in = np.zeros((self.n, self.K))
+        self.sum_in = np.zeros((self.K, self.n))
         self.total_assigned = np.zeros(self.n)
         self.committed = 0.0
         self.opened = 0
+        self.pair_memo: dict[tuple[int, int], float] = {}  # capacity term by (pos, slots)
+        self.deficit = self.K * self.flr  # locations the floors still need
 
         self.incumbent = math.inf
         self.best: BubbleClustering | None = None
@@ -165,74 +177,66 @@ class _Search:
     # -- incremental assignment bookkeeping
 
     def _assign(self, u: int, b: int) -> float:
-        delta = self.total_assigned[u] - self.sum_in[u, b]
-        self.bubble[u] = b
+        delta = self.total_assigned.item(u) - self.sum_in.item(b, u)
         if self.size[b] == 0:
             self.opened += 1
+        if self.size[b] < self.flr:
+            self.deficit -= 1
         self.size[b] += 1
         self.members[b].append(u)
-        self.sum_in[:, b] += self.W[:, u]
-        self.total_assigned += self.W[:, u]
+        self.sum_in[b] += self.W[u]
+        self.total_assigned += self.W[u]
         self.committed += delta
         return delta
 
     def _unassign(self, u: int, b: int, delta: float) -> None:
         self.committed -= delta
-        self.total_assigned -= self.W[:, u]
-        self.sum_in[:, b] -= self.W[:, u]
+        self.total_assigned -= self.W[u]
+        self.sum_in[b] -= self.W[u]
         self.members[b].pop()
         self.size[b] -= 1
+        if self.size[b] < self.flr:
+            self.deficit += 1
         if self.size[b] == 0:
             self.opened -= 1
-        self.bubble[u] = -1
 
     def _diameter_ok(self, u: int, b: int) -> bool:
         return not self.conflicts or not self.far[u, self.members[b]].any()
 
     def _floors_ok(self, remaining: int) -> bool:
-        deficit = sum(max(0, self.flr - s) for s in self.size if s > 0)
-        deficit += (self.K - self.opened) * self.flr
-        return deficit <= remaining
+        return self.deficit <= remaining
 
     # -- bounds
 
     def _comb_bound(self, pos: int) -> float:
-        unassigned = np.arange(pos, self.n)
-        if unassigned.size == 0:
+        if pos == self.n:
             return self.committed
-        open_cols = [b for b in range(self.K) if self.size[b] > 0]
         attach = 0.0
-        if open_cols:
-            costs = (
-                self.total_assigned[unassigned, None]
-                - self.sum_in[np.ix_(unassigned, open_cols)]
-            )
-            roomy = np.array([self.size[b] < self.cap for b in open_cols])
-            if roomy.any():
-                best = costs[:, roomy].min(axis=1)
-            else:
-                best = np.full(unassigned.size, math.inf)
-            if self.opened < self.K:
-                best = np.minimum(best, self.total_assigned[unassigned])
+        if self.opened:
+            t = self.total_assigned[pos:]
+            roomy = [b for b in range(self.opened) if self.size[b] < self.cap]
+            if roomy:
+                # rounding is monotone, so t - max(s) is the min over bubbles of t - s
+                rows = slice(0, self.opened) if len(roomy) == self.opened else roomy
+                best = t - self.sum_in[rows, pos:].max(axis=0)
+                if self.opened < self.K:
+                    np.minimum(best, t, out=best)
+            else:  # every open bubble is full, so an empty one remains
+                best = t
             attach = float(best.sum())
 
-        caps = sorted(
-            [self.cap - s for s in self.size if s > 0]
-            + [self.cap] * (self.K - self.opened),
-            reverse=True,
-        )
         left = self.n - pos
         slots = 0
-        for r in caps:
-            take = min(r, left)
+        for s in sorted(self.size):
+            take = min(self.cap - s, left)
             slots += take * (take - 1) // 2
             left -= take
-            if left == 0:
-                break
-        mask = (self.bubble[self.pair_i] < 0) & (self.bubble[self.pair_j] < 0)
-        ws = self.pair_w[mask]
-        spill = ws.size - slots
-        pairs = float(ws[: spill].sum()) if spill > 0 else 0.0
+        pairs = self.pair_memo.get((pos, slots))
+        if pairs is None:
+            ws = self.free_w[pos]
+            spill = ws.size - slots
+            pairs = float(ws[: spill].sum()) if spill > 0 else 0.0
+            self.pair_memo[pos, slots] = pairs
         return self.committed + attach + pairs
 
     def _lp_bound(self, pos: int) -> float | None:
@@ -285,9 +289,10 @@ class _Search:
             ub_rhs.append(float(self.cap))
             ub_rows.append(-row)
             ub_rhs.append(-float(self.flr))
+        bubble = {u: b for b in range(self.K) for u in self.members[b]}
         for i in range(pos):
             row = np.zeros(nv)
-            row[xv(i, int(self.bubble[i]))] = 1.0
+            row[xv(i, bubble[i])] = 1.0
             eq_rows.append(row)
             eq_rhs.append(1.0)
 
@@ -343,7 +348,7 @@ class _Search:
                 if self.size[b] == 0:
                     cands.append((self.total_assigned[u], 0, b))
                     break  # symmetry: one empty bubble is enough
-                cands.append((self.total_assigned[u] - self.sum_in[u, b], self.size[b], b))
+                cands.append((self.total_assigned[u] - self.sum_in[b, u], self.size[b], b))
             # ties spread over bubbles instead of packing the first one
             cands.sort()
             chosen = None
@@ -392,13 +397,14 @@ class _Search:
                 return
 
         u = pos
-        opened = [b for b in range(self.K) if self.size[b] > 0]
+        t = self.total_assigned.item(u)
+        s_in = self.sum_in[: self.opened, u].tolist()
         cands = sorted(
-            (b for b in opened if self.size[b] < self.cap),
-            key=lambda b: (self.total_assigned[u] - self.sum_in[u, b], self.size[b]),
+            (b for b in range(self.opened) if self.size[b] < self.cap),
+            key=lambda b: (t - s_in[b], self.size[b]),
         )
         if self.opened < self.K:
-            cands.append(next(b for b in range(self.K) if self.size[b] == 0))
+            cands.append(self.opened)  # the first empty bubble
         for b in cands:
             if not self._diameter_ok(u, b):
                 continue

@@ -30,7 +30,9 @@ def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     t[row] = t[row] / t[row, col]
     factors = t[:, col].copy()
     factors[row] = 0.0
-    t -= np.outer(factors, t[row])
+    # a column where the pivot row is zero would only lose factors * 0
+    nz = np.flatnonzero(t[row])
+    t[:, nz] -= np.outer(factors, t[row, nz])
     basis[row] = col
 
 
@@ -110,7 +112,8 @@ def solve_lp(
     n_art = sum(1 for s in senses if s in ("=", ">="))
     total = n + n_slack + n_surplus + n_art
 
-    t = np.zeros((m + 1, total + 1))
+    # column-major: a pivot updates whole columns, those where the pivot row is nonzero
+    t = np.zeros((m + 1, total + 1), order="F")
     basis = np.zeros(m, dtype=int)
     i_slack = n
     i_surplus = n + n_slack
@@ -157,7 +160,7 @@ def solve_lp(
                     drop_rows.append(i)
         if drop_rows:
             keep = [i for i in range(m) if i not in drop_rows]
-            t = np.vstack([t[keep], t[m:]])
+            t = np.asfortranarray(np.vstack([t[keep], t[m:]]))
             basis = basis[keep]
             m = len(keep)
         allowed[art_cols] = False

@@ -10,6 +10,7 @@ from corn.model import (
     LocationRoster,
     Visit,
     VisitGraph,
+    Violation,
     chop_visit,
     compute_loads_demands,
     load_hcp_roster,
@@ -23,6 +24,7 @@ from corn.model import (
 )
 
 from .conftest import chop_graph, make_graph
+from .test_pinned_rewiring import _facility
 
 
 def write_inputs(tmp_path, visit_rows, hcp_types, loc_kinds):
@@ -110,6 +112,24 @@ class TestValidate:
                                           {"l1": "s", "l2": "s"})
         g = read_mobility_log(visits, load_hcp_roster(hcps), load_location_roster(locs))
         assert len(validate(g)) == 1
+
+    def test_ltcf_overlap_without_visit_lt(self, monkeypatch):
+        """The per-HCP sort compares a key, so Visit.__lt__ is never called."""
+        _, g, _ = _facility("ltcf")
+        assert validate(g) == []
+        v = next(v for v in g.visits if v.duration_s >= 2)
+        other = next(l for l in g.locations.ids if l != v.location)
+        inside = Visit(v.start_s + 1, v.end_s - 1, v.hcp, other)
+        g2 = VisitGraph.build(g.hcps, g.locations, [*g.visits, inside])
+
+        def refuse(*_):
+            raise AssertionError("Visit.__lt__ called")
+
+        monkeypatch.setattr(Visit, "__lt__", refuse)
+        assert validate(g2) == [Violation(
+            "overlap", v.hcp,
+            f"[{v.start_s},{v.end_s}) at {v.location} overlaps "
+            f"[{inside.start_s},{inside.end_s}) at {other}")]
 
 
 class TestLoadsDemands:
