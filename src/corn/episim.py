@@ -34,8 +34,8 @@ rho with one comparison: its counts are the kernel's, and calibration's
 bisection steps run no replicates.
 
 A replicate replays a ContactSchedule, built with numpy from the log's
-columns. A RewiredGraph's columns are the rewired log's, re-sorted from
-its source's, so simulating a rewiring never builds the rewired log.
+columns. A RewiredGraph's schedule is built from its source's columns with
+its assigned HCPs, so simulating a rewiring never builds the rewired log.
 
 Agents are the roster's HCPs plus one static resident per substitutable
 room, named by the room. Every outbreak is seeded in a member of the
@@ -192,9 +192,12 @@ class ContactSchedule:
     build order: resident events in graph order, then pairs by later visit,
     then by earlier visit.
 
-    The events come from g.columns, so a RewiredGraph, whose columns are
-    the rewired log's, gives the schedule of rw.graph without building it.
-    graph is the log the schedule was built from, of either type.
+    A RewiredGraph gives the events of rw.graph without building it: they
+    come from its source's columns, with assigned as the HCP column and
+    dropped visits left out. The source's order is the rewired log's but
+    among visits with equal start and end, which are ordered by their new
+    HCP's name; full-key ties, which only an invalid log has, keep source
+    order. graph is the log the schedule was built from, of either type.
     """
 
     def __init__(self, g: VisitGraph | RewiredGraph):
@@ -213,7 +216,8 @@ class ContactSchedule:
 
         loc_ids = g.locations.ids
         n_loc, loc_rank = len(loc_ids), name_ranks(loc_ids)
-        start, end, hcp, loc = g.columns
+        start, end, hcp, loc = (g.source.columns._replace(hcp=g.assigned)
+                                if isinstance(g, RewiredGraph) else g.columns)
         n = len(start)
         resident = np.full(len(loc_ids), -1, dtype=np.int64)
         resident[[loc_ids.index(r) for r in self.rooms]] = np.arange(nh, self.n_agents)
@@ -230,10 +234,15 @@ class ContactSchedule:
         offset = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
         o, v = by_loc[first], by_loc[first + 1 + offset]
         overlap_s = np.minimum(end[o], end[v]) - start[v]
-        ok = (overlap_s > 0) & (hcp[o] != hcp[v])
+        ok = (overlap_s > 0) & (hcp[o] != hcp[v]) & (np.minimum(hcp[o], hcp[v]) >= 0)
         o, v, overlap_s = o[ok], v[ok], overlap_s[ok]
+        # o precedes v in graph order, which ranks visits with equal start and end by
+        # HCP name: a rewiring's new HCPs may reverse its source's order there
+        hcp_rank = name_ranks(self.hcp_ids)
+        swap = (start[o] == start[v]) & (end[o] == end[v]) & (hcp_rank[hcp[v]] < hcp_rank[hcp[o]])
+        o, v = np.where(swap, v, o), np.where(swap, o, v)
 
-        room = (resident[loc] >= 0).nonzero()[0]
+        room = ((resident[loc] >= 0) & (hcp >= 0)).nonzero()[0]
         n_res = len(room)
         ev_v = np.concatenate((room, v))  # the later visit; resident events have one
         ev_o = np.concatenate((room, o))

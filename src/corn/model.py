@@ -131,12 +131,8 @@ class VisitGraph:
 
     @property
     def day_count(self) -> int:
-        return days_spanned(self.max_end_s)
-
-
-def days_spanned(max_end_s: int) -> int:
-    """The day count of a log whose last visit ends at max_end_s: at least one."""
-    return max(1, math.ceil(max_end_s / SECONDS_PER_DAY))
+        """The days up to the end of the last visit: at least one."""
+        return max(1, math.ceil(self.max_end_s / SECONDS_PER_DAY))
 
 
 def name_ranks(names: tuple[str, ...]) -> np.ndarray:

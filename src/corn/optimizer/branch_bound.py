@@ -439,7 +439,8 @@ def solve(model: IlpModel, time_limit_s: float | None = None) -> SolveResult:
         best, obj = None, None
 
     if s.timed_out:
-        bound = min(s.frontier_bound, obj if obj is not None else math.inf)
+        # no cut of probabilities is negative, but the search's float sums can drift below 0
+        bound = max(0.0, min(s.frontier_bound, obj if obj is not None else math.inf))
         return SolveResult(STATUS_TIMEOUT, best, obj, bound, s.nodes, runtime)
     if best is None:
         return SolveResult(STATUS_INFEASIBLE, None, None, math.inf, s.nodes, runtime)

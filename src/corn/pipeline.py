@@ -128,6 +128,8 @@ class ExperimentConfig:
                 raise ConfigError(f"inputs is missing paths for: {sorted(missing)}")
         if not self.k_list or not all(is_integer(k) and k >= 1 for k in self.k_list):
             raise ConfigError(f"k_list={list(self.k_list)!r} must hold one or more integers >= 1")
+        if len(set(self.k_list)) < len(self.k_list):
+            raise ConfigError(f"k_list={list(self.k_list)!r} must not repeat a K")
         check_hcp_scope(self.hcp_scope)
         if (self.rho is None) == (self.target_r0 is None):
             raise ConfigError("exactly one of rho or target_r0 must be set")

@@ -32,10 +32,10 @@ pick is the one a scalar rng.integers(n) call per pick would make.
 
 A rewiring is its source log plus assigned, the int64 column that the
 walk fills: per source visit, its new HCP's index into hcps.ids, or -1
-where it was dropped. Contact schedules read RewiredGraph.columns, the
-rewired log's columns re-sorted from the source's; cost reports read the
-source log's columns with assigned. Only RewiredGraph.graph, the rewired
-log built on first read, turns the column into HCP names.
+where it was dropped. Contact schedules and cost reports both read the
+source log's columns with assigned, and a rewiring spans its source's
+days. Only RewiredGraph.graph, the rewired log built on first read, turns
+the column into HCP names.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ import numpy as np
 
 from .clustering import BubbleClustering, canonicalize
 from .errors import ClusteringMismatchError
-from .model import (HcpRoster, LocationRoster, Visit, VisitColumns, VisitGraph, days_spanned,
-                    name_ranks)
+from .model import HcpRoster, LocationRoster, Visit, VisitGraph
 from .optimizer.model import check_k
 from .spatial import DistanceMatrix
 
@@ -62,9 +61,9 @@ class RewiredGraph:
     """A rewiring of source: the HCP each source visit goes to, if any.
 
     Rewiring keeps every visit's interval and location, so the source log's
-    columns and assigned describe the rewired log. Like a VisitGraph it
-    gives hcps, locations, columns and day_count; graph builds the rewired
-    log as a VisitGraph on first read, for checks against these.
+    columns and assigned describe the rewired log, over the source's days.
+    Like a VisitGraph it gives hcps, locations and day_count; graph builds
+    the rewired log as a VisitGraph on first read, for checks against these.
     """
 
     source: VisitGraph
@@ -83,24 +82,9 @@ class RewiredGraph:
     def dropped_count(self) -> int:
         return int(np.count_nonzero(self.assigned < 0))
 
-    @functools.cached_property
-    def columns(self) -> VisitColumns:
-        """The rewired log's columns: each kept visit under its new HCP, in VisitGraph.build order."""
-        start, end, _, loc = self.source.columns
-        kept = self.assigned >= 0
-        start, end, hcp, loc = start[kept], end[kept], self.assigned[kept], loc[kept]
-        # the source is sorted by (start, end), so only runs of equal (start, end)
-        # move: VisitGraph.build orders each run by HCP name, then location name
-        n_loc = len(self.locations.ids)
-        run = np.cumsum((start[1:] != start[:-1]) | (end[1:] != end[:-1]))
-        key = name_ranks(self.hcps.ids)[hcp] * n_loc + name_ranks(self.locations.ids)[loc]
-        key[1:] += run * (len(self.hcps.ids) * n_loc)
-        order = np.argsort(key, kind="stable")
-        return VisitColumns(start[order], end[order], hcp[order], loc[order])
-
     @property
     def day_count(self) -> int:
-        return days_spanned(int(self.columns.end.max(initial=0)))
+        return self.source.day_count
 
     @functools.cached_property
     def graph(self) -> VisitGraph:

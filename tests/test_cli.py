@@ -88,8 +88,8 @@ BAD_MODEL = [["--cross-bubble-scale", "2"], ["--incubation-days", "0"],
              ["--casual-duration-min", "nan"], ["--casual-contacts-per-day", "-1"],
              ["--target-r0", "nan"]]
 
-# K above the tiny spec's 4 nurses or 6 rooms
-BAD_K = [["--k", "5"], ["--k", "7"]]
+# K above the tiny spec's 4 nurses or 6 rooms, or a K given twice
+BAD_K = [["--k", "5"], ["--k", "7"], ["--k", "2,1,2"]]
 
 
 def input_args(d):
@@ -380,6 +380,17 @@ class TestExperiment:
         assert rc == EXIT_USAGE
         assert not out.exists()
         capsys.readouterr()
+
+    def test_repeated_k_in_manifest_fails_before_output(self, tmp_path, capsys):
+        # a K given twice would run its arms twice and list their metrics rows twice
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(manifest_text(dict(ExperimentConfig(
+            facility=tiny_spec(), rho=0.002).to_dict(), k_list=[2, 1, 2])))
+        out = tmp_path / "x"
+        rc = main(["experiment", "--from-manifest", str(manifest), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+        assert "must not repeat a K" in capsys.readouterr().err
 
     def test_z_above_one_fails_before_output(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 from pathlib import Path
 from unittest import mock
@@ -110,6 +111,16 @@ def test_search_matches_recording(recorded, label):
 def test_recording_covers_every_instance(recorded):
     assert sorted(recorded) == sorted(LABELS)
     assert recorded["rooms15_k3"]["lp_calls"] > 0
+
+
+def test_timeout_bound_is_never_negative(monkeypatch):
+    # on the dense 20-room LTCF at K=3 the search's running sums drift below
+    # zero; a cut of probabilities is not negative, so neither is its bound
+    ticks = itertools.count()
+    monkeypatch.setattr(branch_bound.time, "monotonic", lambda: float(next(ticks)))
+    res = solve(build_model(_dense(*_scaled(20, 7), 3)), time_limit_s=7)
+    assert res.status == "timeout"
+    assert 0 <= res.bound <= res.objective
 
 
 if __name__ == "__main__":

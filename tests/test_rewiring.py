@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corn.clustering import BubbleClustering
+from corn.episim import DiseaseParams, SimConfig, simulate
 from corn.errors import ClusteringMismatchError, InvalidKError
 from corn.model import HcpRoster, compute_loads_demands
 from corn.rewiring import ReplayedDraws, compute_costs, random_clustering, rewire, write_cost_csv
@@ -410,6 +411,10 @@ class TestCosts:
         rw = rewire(g, c, seed=0)
         assert assigned_names(rw) == ("p2", "p1", "p2", "q1", "p2", None)
         assert (rw.source.day_count, rw.graph.day_count) == (2, 1)
+        # simulating the rewiring spans the source's two days, as the experiment arms do
+        cfg = SimConfig(disease=DiseaseParams(rho=0.0), replicates=1)
+        assert rw.day_count == cfg.horizon(rw.source) == 2
+        assert simulate(rw, None, cfg).config["horizon_days"] == 2
         d = {("l1", "l2"): 10.0, ("l1", "hall"): 4.0, ("l2", "hall"): 6.0}
         d.update({(b, a): x for (a, b), x in list(d.items())})
         d.update({(l, l): 0.0 for l in ("l1", "l2", "hall")})
