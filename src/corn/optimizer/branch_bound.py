@@ -18,6 +18,21 @@ Two invariants of the search let that bound read plain slices:
 HCP-to-bubble assignment never affects the objective, so it is resolved
 per leaf: a feasibility search per group over balanced counts and, when
 the load-gap cap is finite, per-bubble load coverage.
+
+Polished incumbents. Every accepted leaf, the greedy one included, is
+handed to a balance-preserving local search (`_local_search`: best-
+improvement single moves and pairwise swaps, after Kernighan & Lin 1970
+and Fiduccia & Mattheyses 1982). It keeps sizes in [flr, cap] and never
+joins a too-far pair; under a load-gap cap its result is kept only if its
+HCPs can be assigned. Its cut, recomputed from W, only lowers the cutoff
+that prunes nodes and admits leaves, to min(incumbent, polished + 3*TOL),
+and the search still returns its own best leaf. Without polishing, the
+last leaf the search accepts lies within TOL of the optimum, so below
+polished + 2*TOL: it is still reached and accepted, and from then on both
+searches hold the same incumbent. So the same leaf, with the same
+objective bits, comes back from no more nodes, unless two feasible cuts
+lie between TOL and 3*TOL apart. A timeout returns the better of that
+leaf and the best polished partition.
 """
 
 from __future__ import annotations
@@ -121,6 +136,59 @@ def _assign_groups(inst: ClusterInstance, bubble_locs: list[list[str]]) -> dict[
     return combined
 
 
+def _local_search(
+    W: np.ndarray, far: np.ndarray, bub: np.ndarray, k: int, flr: int, cap: int
+) -> np.ndarray:
+    """Bubble index per location after best-improvement moves and swaps.
+
+    Each step takes the feasible single move or pairwise swap that lowers
+    the cut most, while that is by more than TOL. A move keeps every size
+    in [flr, cap]; neither kind puts a too-far pair in one bubble.
+    """
+    n = bub.size
+    bub = bub.copy()
+    ar = np.arange(n)
+    far = far.astype(np.int64)
+    s = np.zeros((k, n))  # s[b, u]: u's weight into bubble b
+    np.add.at(s, bub, W)
+    f = np.zeros((k, n), dtype=np.int64)  # f[b, u]: locations of b too far from u
+    np.add.at(f, bub, far)
+    size = np.bincount(bub, minlength=k)
+
+    def move(u: int, b: int) -> None:
+        a = bub[u]
+        s[a] -= W[u]
+        s[b] += W[u]
+        f[a] -= far[u]
+        f[b] += far[u]
+        size[a] -= 1
+        size[b] += 1
+        bub[u] = b
+
+    while True:
+        gain = s - s[bub, ar]  # gain[b, u]: cut saved by moving u into b
+        ok = (f == 0) & (size < cap)[:, None] & (size > flr)[bub]
+        moves = np.where(ok, gain, -np.inf)
+        m = int(moves.argmax())
+        # swap u and v: each moves into the other's bubble, and their own edge stays cut
+        g = gain[bub]  # g[v, u]: gain of moving u into v's bubble
+        fv = f[bub] - far  # fv[v, u]: locations of v's bubble other than v too far from u
+        ok = (fv == 0) & (fv.T == 0) & (bub[:, None] != bub)
+        swaps = np.where(ok, g + g.T - 2.0 * W, -np.inf)
+        p = int(swaps.argmax())
+        best = max(moves.flat[m], swaps.flat[p])
+        if best <= TOL:
+            return bub
+        if moves.flat[m] == best:
+            b, u = divmod(m, n)
+            move(u, b)
+        else:
+            v, u = divmod(p, n)
+            a = bub[u]
+            move(u, bub[v])
+            move(v, a)
+
+
 class _Search:
     def __init__(self, model: IlpModel):
         inst = model.instance
@@ -166,6 +234,9 @@ class _Search:
 
         self.incumbent = math.inf
         self.best: BubbleClustering | None = None
+        self.polished = math.inf  # the best polished cut, from W
+        self.polished_best: BubbleClustering | None = None
+        self.cutoff = math.inf  # nodes and leaves at or above cutoff - TOL are dropped
         self.nodes = 0
         self.timed_out = False
         self.frontier_bound = math.inf
@@ -311,30 +382,50 @@ class _Search:
 
     # -- leaf handling
 
-    def _close_leaf(self) -> None:
-        bubble_locs = [[self.order[u] for u in self.members[b]] for b in range(self.K)]
+    def _clustering(self, members: list[list[int]]) -> BubbleClustering | None:
+        """The partition with an HCP assignment, or None if no assignment exists."""
+        bubble_locs = [[self.order[u] for u in m] for m in members]
         if any(not locs for locs in bubble_locs):
-            return
+            return None
         if self.hcp_needed:
             hcp = _assign_groups(self.inst, bubble_locs)
             if hcp is None:
-                return
+                return None
         else:
             hcp = {}
             for lab in self.inst.groups:
                 for i, p in enumerate(sorted(self.inst.hcps.members(lab))):
                     hcp[p] = (i % self.K) + 1
-        if self.committed < self.incumbent - TOL:
-            self.incumbent = self.committed
-            self.best = BubbleClustering(
-                k=self.K,
-                location_bubble={
-                    self.order[u]: b + 1
-                    for b in range(self.K)
-                    for u in self.members[b]
-                },
-                hcp_bubble=hcp,
-            )
+        return BubbleClustering(
+            k=self.K,
+            location_bubble={
+                loc: b + 1 for b, locs in enumerate(bubble_locs) for loc in locs
+            },
+            hcp_bubble=hcp,
+        )
+
+    def _close_leaf(self) -> None:
+        if self.committed >= self.cutoff - TOL:
+            return
+        best = self._clustering(self.members)
+        if best is None:
+            return
+        self.incumbent, self.best = self.committed, best
+        self._polish()
+        self.cutoff = min(self.incumbent, self.polished + 3 * TOL)
+
+    def _polish(self) -> None:
+        """Local search from the current leaf; keeps the best polished partition."""
+        bub = np.empty(self.n, dtype=np.intp)
+        for b, m in enumerate(self.members):
+            bub[m] = b
+        bub = _local_search(self.W, self.far, bub, self.K, self.flr, self.cap)
+        cut = float(self.W[bub[:, None] != bub].sum()) / 2
+        if cut >= self.polished:
+            return
+        found = self._clustering([np.flatnonzero(bub == b).tolist() for b in range(self.K)])
+        if found is not None:
+            self.polished, self.polished_best = cut, found
 
     def _greedy(self) -> None:
         """Seed the incumbent with a cheapest-attachment pass, if feasible."""
@@ -381,7 +472,7 @@ class _Search:
             self._close_leaf()
             return
         bound = self._comb_bound(pos)
-        if bound >= self.incumbent - TOL:
+        if bound >= self.cutoff - TOL:
             return
         if (
             self.use_lp
@@ -393,7 +484,7 @@ class _Search:
             lp = self._lp_bound(pos)
             if lp is None:
                 return
-            if lp >= self.incumbent - TOL:
+            if lp >= self.cutoff - TOL:
                 return
 
         u = pos
@@ -418,6 +509,12 @@ class _Search:
                 return
 
 
+def _finished(c: BubbleClustering, inst: ClusterInstance) -> BubbleClustering:
+    """Canonical numbering, with the cut recomputed from the instance's weights."""
+    c = canonicalize(c)
+    return BubbleClustering(c.k, c.location_bubble, c.hcp_bubble, cut_value(c, inst.weights))
+
+
 def solve(model: IlpModel, time_limit_s: float | None = None) -> SolveResult:
     """Exact, deterministic solve; a timeout reports the best bound reached."""
     check_nonnegative(time_limit_s=time_limit_s)
@@ -431,12 +528,13 @@ def solve(model: IlpModel, time_limit_s: float | None = None) -> SolveResult:
     s._dfs(0, _LP_DEPTH)
     runtime = time.monotonic() - t0
 
-    if s.best is not None:
-        best = canonicalize(s.best)
-        obj = cut_value(best, inst.weights)
-        best = BubbleClustering(best.k, best.location_bubble, best.hcp_bubble, obj)
-    else:
-        best, obj = None, None
+    best = _finished(s.best, inst) if s.best is not None else None
+    if s.timed_out and s.polished_best is not None:
+        polished = _finished(s.polished_best, inst)
+        if (polished.objective_value < best.objective_value
+                and not verify_clustering(polished, inst)):
+            best = polished
+    obj = best.objective_value if best is not None else None
 
     if s.timed_out:
         # no cut of probabilities is negative, but the search's float sums can drift below 0

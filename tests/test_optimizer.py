@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from corn.errors import InvalidKError, TooLargeError
 from corn.model import HcpRoster, LoadDemandTable
 from corn.optimizer import (
     ClusterInstance,
+    branch_bound,
     brute_force_solve,
     build_model,
     solve,
@@ -383,3 +385,69 @@ class TestCapTie:
         pytest.importorskip("scipy")
         assert milp_optimum(build_model(cap_tie_instance(excess))) == pytest.approx(
             optimum, abs=1e-6)
+
+
+def two_group_instance(rng: np.random.Generator) -> ClusterInstance:
+    """4-10 locations, K 1-5, two HCP groups, each cap present or not."""
+    n = int(rng.integers(4, 11))
+    k = int(rng.integers(1, min(5, n) + 1))
+    locs = tuple(f"l{i:02d}" for i in range(n))
+    pairs = {p: float(rng.uniform(0.01, 1.0))
+             for p in itertools.combinations(locs, 2) if rng.random() < 0.7}
+    types = {f"a{i}": "g1" for i in range(int(rng.integers(k, k + 2)))}
+    types.update({f"b{i}": "g2" for i in range(int(rng.integers(k, k + 2)))})
+    roster = HcpRoster(types)
+    pos = {l: rng.uniform(0, 50, size=2) for l in locs}
+    dist = {(a, b): float(np.hypot(*(pos[a] - pos[b]))) for a in locs for b in locs}
+    d_star = float(rng.uniform(20, 60)) if rng.random() < 0.5 else math.inf
+    y_star = float(rng.uniform(0.0, 4.0)) if rng.random() < 0.5 else math.inf
+    loads = None
+    if math.isfinite(y_star):
+        loads = LoadDemandTable(
+            loads={p: float(rng.uniform(0, 8)) for p in roster.ids},
+            demands={l: float(rng.uniform(0, 3)) for l in locs},
+            day_count=1,
+        )
+    return ClusterInstance(
+        weights=WeightMatrix(locations=locs, w=pairs), hcps=roster, k=k,
+        d_star_m=d_star, y_star_h=y_star,
+        dist=DistanceMatrix(locations=locs, dist=dist) if math.isfinite(d_star) else None,
+        loads=loads,
+    )
+
+
+class TestPolishedIncumbents:
+    """Polished incumbents only lower the cutoff: the search returns the same leaf."""
+
+    def test_same_answer_from_no_more_nodes(self):
+        rng = np.random.default_rng(20)
+        polished: list[BubbleClustering] = []
+        polish = branch_bound._Search._polish
+
+        def kept(self):
+            polish(self)
+            if self.polished_best is not None:
+                polished.append(self.polished_best)
+
+        seen = {"optimal": 0, "infeasible": 0, "capped": 0, "fewer nodes": 0}
+        for _ in range(30):
+            inst = two_group_instance(rng)
+            polished.clear()
+            with mock.patch.object(branch_bound._Search, "_polish", kept):
+                got = solve(build_model(inst))
+            with mock.patch.object(branch_bound, "_local_search",
+                                   lambda W, far, bub, *_: bub):
+                plain = solve(build_model(inst))
+            assert got.status == plain.status
+            assert repr(got.objective) == repr(plain.objective)
+            assert got.clustering == plain.clustering
+            assert got.nodes <= plain.nodes
+            want = brute_force_solve(inst)
+            assert got.status == want.status
+            for c in polished:
+                assert verify_clustering(c, inst) == []
+                assert cut_value(c, inst.weights) >= want.objective - 1e-9
+            seen[got.status] += 1
+            seen["capped"] += math.isfinite(inst.d_star_m) or math.isfinite(inst.y_star_h)
+            seen["fewer nodes"] += got.nodes < plain.nodes
+        assert all(seen.values()), seen

@@ -1,11 +1,12 @@
 """Exact solves against a pinned recording of their search.
 
-data/pinned_search.json holds, for solve on four dense (hcp_scope="all")
+data/pinned_search.json holds, for solve on five dense (hcp_scope="all")
 instances, the node count, the number of LP bounds taken, the objective's
 exact bits (float.hex) and the canonical clustering:
 
 - rooms15_k3: the 15-room LTCF of the benchmark's dense_solve at K=3; with
   at most 15 locations the search also takes LP bounds;
+- rooms20_k3: the 20-room LTCF of dense_solve at K=3;
 - rooms12_k3 and rooms12_k4: a 12-room LTCF at K=3 and K=4;
 - ltcf_k5_capped: the acceptance LTCF at K=5 with a 15 m diameter cap and
   a 0.17 h/day load-gap cap.
@@ -29,7 +30,7 @@ from unittest import mock
 import pytest
 
 from corn.model import compute_loads_demands
-from corn.optimizer import ClusterInstance, branch_bound, build_model, solve
+from corn.optimizer import ClusterInstance, branch_bound, build_model, solve, verify_clustering
 from corn.spatial import shortest_path_metric
 from corn.synth import generate_facility, generate_mobility
 from corn.weights import weight_matrix, z_from_rho
@@ -76,11 +77,12 @@ def _capped_ltcf() -> ClusterInstance:
 def _instance(label: str) -> ClusterInstance:
     if label == "ltcf_k5_capped":
         return _capped_ltcf()
-    rooms, k = {"rooms15_k3": (15, 3), "rooms12_k3": (12, 3), "rooms12_k4": (12, 4)}[label]
+    rooms, k = {"rooms15_k3": (15, 3), "rooms20_k3": (20, 3),
+                "rooms12_k3": (12, 3), "rooms12_k4": (12, 4)}[label]
     return _dense(*_scaled(rooms, 7), k)
 
 
-LABELS = ("rooms15_k3", "rooms12_k3", "rooms12_k4", "ltcf_k5_capped")
+LABELS = ("rooms15_k3", "rooms20_k3", "rooms12_k3", "rooms12_k4", "ltcf_k5_capped")
 
 
 def _record(label: str) -> dict:
@@ -113,13 +115,38 @@ def test_recording_covers_every_instance(recorded):
     assert recorded["rooms15_k3"]["lp_calls"] > 0
 
 
+def _counting_clock(monkeypatch):
+    ticks = itertools.count()
+    monkeypatch.setattr(branch_bound.time, "monotonic", lambda: float(next(ticks)))
+
+
 def test_timeout_bound_is_never_negative(monkeypatch):
     # on the dense 20-room LTCF at K=3 the search's running sums drift below
     # zero; a cut of probabilities is not negative, so neither is its bound
-    ticks = itertools.count()
-    monkeypatch.setattr(branch_bound.time, "monotonic", lambda: float(next(ticks)))
-    res = solve(build_model(_dense(*_scaled(20, 7), 3)), time_limit_s=7)
+    _counting_clock(monkeypatch)
+    res = solve(build_model(_instance("rooms20_k3")), time_limit_s=7)
     assert res.status == "timeout"
+    assert 0 <= res.bound <= res.objective
+
+
+def test_timeout_returns_at_least_the_polished_greedy(monkeypatch):
+    # seven nodes in, the search's own best leaf is still the greedy one, and
+    # polishing it lowers the cut
+    polished = []
+    polish = branch_bound._Search._polish
+
+    def kept(self):
+        polish(self)
+        polished.append((self.incumbent, self.polished))
+
+    monkeypatch.setattr(branch_bound._Search, "_polish", kept)
+    _counting_clock(monkeypatch)
+    inst = _instance("rooms20_k3")
+    res = solve(build_model(inst), time_limit_s=7)
+    assert res.status == "timeout"
+    assert verify_clustering(res.clustering, inst) == []
+    greedy, polished_greedy = polished[0]
+    assert res.objective <= polished_greedy + 1e-9 < greedy
     assert 0 <= res.bound <= res.objective
 
 
