@@ -10,6 +10,15 @@ takes the day's scheduled contacts and then its casual ones, keeps those
 with one infectious and one susceptible end, and compares each contact's
 infection probability with its predrawn coin.
 
+The kernel runs a block of replicates through each day together. Their
+states are the rows of one (replicates, agents) array: a day gathers its
+scheduled contacts for all rows at once, takes the casual contacts of
+all rows from one list in (day, row) order, and writes every row's new
+infections with one scatter. A block holds as many replicates as keep
+its scheduled coins, one row of n_events doubles each, within COIN_BLOCK.
+Rows share no random numbers, so results do not depend on the block
+size; a single replicate is a block of one.
+
 Transmission log rule: each newly infected agent gets one entry, from its
 first transmitting contact, counting contacts in day order and, within a
 day, scheduled contacts by start time before casual ones. Entries are in
@@ -69,6 +78,7 @@ CASUAL_LOCATION = "casual"
 R0_TOLERANCE = 0.05  # calibration stops within this fraction of the target R0
 RHO_MAX = 10.0  # calibration gives up when R0 stays below target at this rho
 BOOTSTRAP_DRAWS = 2000  # resamples behind each comparison interval
+COIN_BLOCK = 2**18  # scheduled-contact coins held at once by a block of replicates
 
 
 @dataclass(frozen=True)
@@ -291,12 +301,14 @@ def _shedding_curve(incubation_days: int, recovery_days: int) -> np.ndarray:
     return curve
 
 
-def _draws(sched: ContactSchedule, cfg: SimConfig, horizon: int, rep: int) -> tuple:
+def _draws(sched: ContactSchedule, cfg: SimConfig, horizon: int, rep: int,
+           u_sched: np.ndarray | None = None) -> tuple:
     """Replicate rep's random numbers, none of which depends on rho.
 
     From its three streams: the seed agent; the day and the two HCPs of each
     casual contact, in (day, HCP) order; a coin per scheduled contact and
-    one per casual contact.
+    one per casual contact. The scheduled coins are written into u_sched
+    when it is given.
     """
     ss = np.random.SeedSequence(cfg.seed, spawn_key=(rep,))
     k_pick, k_struct, k_coin = ss.spawn(3)
@@ -314,9 +326,174 @@ def _draws(sched: ContactSchedule, cfg: SimConfig, horizon: int, rep: int) -> tu
         j = rng_struct.integers(nh - 1, size=len(cas_a))
         cas_b = j + (j >= cas_a)
     rng_coin = np.random.default_rng(k_coin)
-    u_sched = rng_coin.random(sched.n_events)
+    u_sched = rng_coin.random(sched.n_events, out=u_sched)
     u_casual = rng_coin.random(len(cas_a))
     return seed_agent, cas_day, cas_a, cas_b, u_sched, u_casual
+
+
+def _block_size(sched: ContactSchedule) -> int:
+    """Replicates per block: as many as keep the block's scheduled coins within COIN_BLOCK."""
+    return max(1, COIN_BLOCK // max(1, sched.n_events))
+
+
+def _run_block(
+    sched: ContactSchedule,
+    clustering: BubbleClustering | None,
+    cfg: SimConfig,
+    horizon: int,
+    reps: range,
+) -> list[ReplicateResult]:
+    """Replicates reps of cfg on sched, one row of each state array per replicate.
+
+    Arrays indexed by a flat position row * n_agents + agent hold the block's
+    agents; the casual contacts of all rows form one list in (day, row) order.
+    """
+    rows, n = len(reps), sched.n_agents
+    u_sched = np.empty((rows, sched.n_events))
+    seeds = np.empty(rows, dtype=np.int64)
+    cas_day, cas_a, cas_b, u_casual = [], [], [], []
+    for row, rep in enumerate(reps):
+        seed, day, a, b, _, u = _draws(sched, cfg, horizon, rep, u_sched[row])
+        seeds[row] = seed
+        cas_day.append(day)
+        cas_a.append(a + row * n)
+        cas_b.append(b + row * n)
+        u_casual.append(u)
+    # a stable sort by day keeps each day's contacts by row, and a row's in its own order
+    cas_day = np.concatenate(cas_day)
+    order = np.argsort(cas_day, kind="stable")
+    cas_day, cas_a, cas_b, u_casual = (
+        x[order] for x in (cas_day, np.concatenate(cas_a), np.concatenate(cas_b),
+                           np.concatenate(u_casual)))
+
+    disease = cfg.disease
+    span = disease.infectious_span
+    shed = _shedding_curve(disease.incubation_days, disease.recovery_days)
+    rho = disease.rho
+    scale = disease.cross_bubble_scale
+    days = np.arange(horizon + 1)
+    ev_off = np.searchsorted(sched.ev_day, days)
+    cas_off = np.searchsorted(cas_day, days)
+
+    # each agent's bubble; 0 when unclustered, and for everyone without a clustering
+    bub = np.zeros(n, dtype=np.int64)
+    if clustering is not None:
+        bub[:] = ([clustering.hcp_bubble.get(h, 0) for h in sched.hcp_ids]
+                  + [clustering.location_bubble.get(r, 0) for r in sched.rooms])
+    # per contact, rho * duration and, for a damped clustering, the factor of its bubbles
+    ev_rho = rho * sched.ev_dur
+    cas_rho = np.full(len(cas_a), rho * cfg.casual.duration_min)
+    ev_damp = cas_damp = None
+    if clustering is not None and scale != 1.0:
+        def damping(a, b, hh):  # only HCP-HCP contacts across two bubbles are damped
+            ba, bb = bub[a], bub[b]
+            return np.where(hh & (ba != bb) & (ba * bb > 0), scale, 1.0)
+        ev_damp = damping(sched.ev_a, sched.ev_b, sched.ev_hh)
+        cas_damp = damping(cas_a % n, cas_b % n, True)
+    seed_at = np.arange(rows) * n + seeds
+    day_of = np.full((rows, n), -1, dtype=np.int64)
+    state = np.ones((rows, n), dtype=np.int8)  # 1 susceptible, 2 infectious, 0 neither
+    day_flat, state_flat, u_flat = day_of.reshape(-1), state.reshape(-1), u_sched.reshape(-1)
+    day_flat[seed_at] = 0
+    state_flat[seed_at] = 0
+    empty = np.empty(0, dtype=np.int64)
+    logs: list[list[TransmissionEvent]] = [[] for _ in range(rows)]
+
+    def transmitting(day, src, i, rho_dur, damp, u) -> np.ndarray:
+        """Which of the contacts i, from flat positions src, transmit on day with coins u."""
+        p = rho_dur[i] * shed[day - day_flat[src]]
+        if damp is not None:
+            p = np.minimum(1.0, p) * damp[i]
+        return (u < p).nonzero()[0]  # u < 1, so u < p exactly when u < min(1, p)
+
+    def spread(day: int) -> np.ndarray:
+        """Infect each target of a transmitting contact on day at its first one.
+
+        A day's scheduled contacts count before its casual ones, in each row.
+        Returns the flat positions of the newly infected, scheduled ones first.
+        """
+        src = dst = idx = empty
+        # scheduled contacts, gathered for all rows: k indexes the (rows, hi - lo) gather
+        lo, hi = ev_off[day], ev_off[day + 1]
+        a, b = sched.ev_a[lo:hi], sched.ev_b[lo:hi]
+        sa = state.take(a, axis=1).ravel()
+        k = (sa * state.take(b, axis=1).ravel() == 2).nonzero()[0]
+        if len(k):
+            j = k
+            if rows > 1:
+                row, j = np.divmod(k, hi - lo)
+            aj, bj, idx = a[j], b[j], j + lo
+            src = np.where(sa[k] == 2, aj, bj)
+            dst, at = aj + bj - src, idx
+            if rows > 1:  # flat positions of the agents and of the coins
+                src, dst, at = src + row * n, dst + row * n, idx + row * sched.n_events
+            ok = transmitting(day, src, idx, ev_rho, ev_damp, u_flat[at])
+            src, dst, idx = src[ok], dst[ok], idx[ok]
+        # casual contacts of all rows, at flat positions
+        clo, chi = cas_off[day], cas_off[day + 1]
+        if clo < chi:
+            ca, cb = cas_a[clo:chi], cas_b[clo:chi]
+            sa = state_flat[ca]
+            live = (sa * state_flat[cb] == 2).nonzero()[0]
+            if len(live):
+                ca, cb, i = ca[live], cb[live], live + clo
+                c_src = np.where(sa[live] == 2, ca, cb)
+                c_dst = ca + cb - c_src
+                ok = transmitting(day, c_src, i, cas_rho, cas_damp, u_casual[i])
+                if len(ok):
+                    src = np.concatenate((src, c_src[ok]))
+                    dst = np.concatenate((dst, c_dst[ok]))
+                    idx = np.concatenate((idx, np.full(len(ok), -1)))  # -1: casual
+        if not len(dst):
+            return empty
+        if len(dst) > 1:
+            # a target's first transmitting contact: a row's scheduled ones precede its casual ones
+            _, first = np.unique(dst, return_index=True)
+            first.sort()
+            src, dst, idx = src[first], dst[first], idx[first]
+        day_flat[dst] = day
+        state_flat[dst] = 0
+        if cfg.keep_transmission_log:
+            for i in range(len(dst)):
+                e = int(idx[i])
+                if e >= 0:
+                    t_s, loc = int(sched.ev_t[e]), sched.graph.locations.ids[sched.ev_l[e]]
+                else:
+                    t_s, loc = day * SECONDS_PER_DAY, CASUAL_LOCATION
+                r, s, d = int(dst[i]) // n, int(src[i]) % n, int(dst[i]) % n
+                logs[r].append(TransmissionEvent(
+                    day, t_s, sched.agent_ids[s], sched.agent_ids[d], loc))
+        return dst
+
+    # the infectious set is fixed for a day, so each day is one batch over all rows
+    waves = [seed_at]  # the flat positions infected on each day
+    last = 0  # the latest day with an infection in any row
+    for day in range(1, horizon):
+        if day > last + span:
+            break  # no one is infectious now or later
+        state_flat[waves[day - 1]] = 2  # yesterday's infections shed from today
+        if day > span:
+            state_flat[waves[day - span - 1]] = 0  # and the earliest ones have recovered
+        waves.append(spread(day))
+        if len(waves[-1]):
+            last = day
+
+    infected = day_of >= 0
+    totals = infected.sum(axis=1).tolist()
+    infected.reshape(-1)[seed_at] = False
+    left = infected & (bub != bub[seeds][:, None])
+    leave = left.any(axis=1).tolist()
+    reach = (left & (bub > 0)).any(axis=1).tolist()
+    clustered = clustering is not None
+    return [ReplicateResult(
+        replicate=rep,
+        seed_agent=sched.agent_ids[seeds[row]],
+        infections=totals[row],
+        infections_excl_seed=totals[row] - 1,
+        leave=leave[row] if clustered else None,
+        reach=reach[row] if clustered else None,
+        log=tuple(logs[row]),
+    ) for row, rep in enumerate(reps)]
 
 
 def _run_replicate(
@@ -326,106 +503,8 @@ def _run_replicate(
     horizon: int,
     rep: int,
 ) -> ReplicateResult:
-    """Replicate rep of cfg on sched."""
-    seed_agent, cas_day, cas_a, cas_b, u_sched, u_casual = _draws(sched, cfg, horizon, rep)
-    disease = cfg.disease
-    span = disease.infectious_span
-    shed = _shedding_curve(disease.incubation_days, disease.recovery_days)
-    rho = disease.rho
-    scale = disease.cross_bubble_scale
-    cas_dur = np.full(len(cas_a), cfg.casual.duration_min)
-    cas_hh = np.ones(len(cas_a), dtype=bool)
-
-    days = np.arange(horizon + 1)
-    ev_off = np.searchsorted(sched.ev_day, days)
-    cas_off = np.searchsorted(cas_day, days)
-
-    # each agent's bubble; 0 when unclustered, and for everyone without a clustering
-    bub = np.zeros(sched.n_agents, dtype=np.int64)
-    if clustering is not None:
-        bub[:] = ([clustering.hcp_bubble.get(h, 0) for h in sched.hcp_ids]
-                  + [clustering.location_bubble.get(r, 0) for r in sched.rooms])
-    damped = clustering is not None and scale != 1.0
-    day_of = np.full(sched.n_agents, -1, dtype=np.int64)
-    day_of[seed_agent] = 0
-    state = np.ones(sched.n_agents, dtype=np.int8)  # 1 susceptible, 2 infectious, 0 neither
-    state[seed_agent] = 0
-    empty = np.empty(0, dtype=np.int64)
-    log: list[TransmissionEvent] = []
-
-    def hits(day, lo, hi, ev_a, ev_b, ev_dur, ev_hh, u):
-        """Contacts in [lo, hi) from an infectious to a susceptible agent that transmit."""
-        a, b = ev_a[lo:hi], ev_b[lo:hi]
-        sa = state[a]
-        live = (sa * state[b] == 2).nonzero()[0]
-        if not len(live):
-            return empty, empty, empty
-        a, b = a[live], b[live]
-        src = np.where(sa[live] == 2, a, b)
-        dst = a + b - src
-        idx = live + lo
-        p = np.minimum(1.0, rho * ev_dur[idx] * shed[day - day_of[src]])
-        if damped:
-            bs, bd = bub[src], bub[dst]
-            p[ev_hh[idx] & (bs != bd) & (bs * bd > 0)] *= scale
-        ok = u[idx] < p
-        return idx[ok], src[ok], dst[ok]
-
-    def spread(day: int) -> np.ndarray:
-        """Infect each target of a transmitting contact on day at its first one.
-
-        A day's scheduled contacts count before its casual ones. Returns the
-        newly infected agents in that order.
-        """
-        si, s_src, s_dst = hits(day, ev_off[day], ev_off[day + 1], sched.ev_a, sched.ev_b,
-                                sched.ev_dur, sched.ev_hh, u_sched)
-        ci, c_src, c_dst = hits(day, cas_off[day], cas_off[day + 1], cas_a, cas_b,
-                                cas_dur, cas_hh, u_casual)
-        if not len(si) and not len(ci):
-            return empty
-        dst = np.concatenate((s_dst, c_dst))
-        _, first = np.unique(dst, return_index=True)
-        first = np.sort(first)
-        new = dst[first]
-        day_of[new] = day
-        state[new] = 0
-        if cfg.keep_transmission_log:
-            src = np.concatenate((s_src, c_src))
-            for i in first.tolist():
-                if i < len(si):
-                    t_s, loc = int(sched.ev_t[si[i]]), sched.graph.locations.ids[sched.ev_l[si[i]]]
-                else:
-                    t_s, loc = day * SECONDS_PER_DAY, CASUAL_LOCATION
-                log.append(TransmissionEvent(
-                    day, t_s, sched.agent_ids[src[i]], sched.agent_ids[dst[i]], loc))
-        return new
-
-    # the infectious set is fixed for a day, so each day is one batch
-    waves = [np.array([seed_agent])]  # the agents infected on each day
-    last = 0  # the latest day with an infection
-    for day in range(1, horizon):
-        if day > last + span:
-            break  # no one is infectious now or later
-        state[waves[day - 1]] = 2  # yesterday's infections shed from today
-        if day > span:
-            state[waves[day - span - 1]] = 0  # and the earliest ones have recovered
-        waves.append(spread(day))
-        if len(waves[-1]):
-            last = day
-
-    infected = day_of >= 0
-    total = int(infected.sum())
-    infected[seed_agent] = False
-    left = bub[infected] != bub[seed_agent]
-    return ReplicateResult(
-        replicate=rep,
-        seed_agent=sched.agent_ids[seed_agent],
-        infections=total,
-        infections_excl_seed=total - 1,
-        leave=bool(left.any()) if clustering is not None else None,
-        reach=bool((left & (bub[infected] > 0)).any()) if clustering is not None else None,
-        log=tuple(log),
-    )
+    """Replicate rep of cfg on sched: a block of one."""
+    return _run_block(sched, clustering, cfg, horizon, range(rep, rep + 1))[0]
 
 
 _INF_BITS = np.float64(np.inf).view(np.int64)
@@ -509,10 +588,11 @@ def _call_worker_job(rep: int) -> Any:
 
 
 def run_replicates(job: Callable[[int], Any], n: int) -> list:
-    """[job(rep) for rep in range(n)], on up to thread_count() forked workers.
+    """[job(i) for i in range(n)], on up to thread_count() forked workers.
 
-    The job reaches the workers through fork, so it may be a closure over
-    large read-only state; only replicate indices and results are pickled.
+    i is a replicate, or a block of them. The job reaches the workers
+    through fork, so it may be a closure over large read-only state; only
+    the indices and the results are pickled.
     """
     workers = min(thread_count(), n)
     if workers <= 1:
@@ -570,8 +650,11 @@ def simulate(
         check_coverage(graph, clustering)
     sched = _schedule(g)
     horizon = cfg.horizon(graph)
-    results = run_replicates(lambda rep: _run_replicate(sched, clustering, cfg, horizon, rep),
-                             cfg.replicates)
+    size = _block_size(sched)
+    blocks = [range(lo, min(lo + size, cfg.replicates)) for lo in range(0, cfg.replicates, size)]
+    per_block = run_replicates(lambda i: _run_block(sched, clustering, cfg, horizon, blocks[i]),
+                               len(blocks))
+    results = [r for block in per_block for r in block]
     k = clustering.k if clustering is not None else None
     return _aggregate(label, results, cfg.echo(label, graph, k))
 

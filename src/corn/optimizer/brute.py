@@ -49,20 +49,41 @@ def _group_ok(
     k: int,
     need: list[float],
 ) -> dict[str, int] | None:
+    """A placement of members in k bubbles, balanced and meeting each bubble's load need.
+
+    Enumerates the balanced count vectors first and then, for each, the
+    placements of members with exactly those counts.
+    """
     if k ** len(members) > _MAX_GROUP_ENUM:
         raise TooLargeError(
             f"group of {len(members)} over {k} bubbles is too large to enumerate")
     flr, cl = balanced(len(members), k)
-    for combo in itertools.product(range(k), repeat=len(members)):
-        counts = [0] * k
-        load = [0.0] * k
-        for p, b in zip(members, combo):
-            counts[b] += 1
-            load[b] += loads.get(p, 0.0)
-        if all(flr <= c <= cl for c in counts) and all(
-            load[b] >= need[b] - TOL for b in range(k)
-        ):
-            return {p: b + 1 for p, b in zip(members, combo)}
+    for counts in itertools.product(range(flr, cl + 1), repeat=k):
+        if sum(counts) == len(members):
+            got = _place(members, counts, loads, need, 0)
+            if got is not None:
+                return got
+    return None
+
+
+def _place(
+    members: tuple[str, ...],
+    counts: tuple[int, ...],
+    loads: dict[str, float],
+    need: list[float],
+    b: int,
+) -> dict[str, int] | None:
+    """members in bubbles b, b + 1, ... with counts[b:] members each, or None if no
+    such placement meets each of those bubbles' load need."""
+    if b == len(counts):
+        return {}
+    for chosen in itertools.combinations(members, counts[b]):
+        if sum(loads.get(p, 0.0) for p in chosen) < need[b] - TOL:
+            continue
+        rest = tuple(p for p in members if p not in chosen)
+        got = _place(rest, counts, loads, need, b + 1)
+        if got is not None:
+            return {p: b + 1 for p in chosen} | got
     return None
 
 

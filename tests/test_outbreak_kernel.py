@@ -35,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corn import episim
 from corn.clustering import BubbleClustering
 from corn.episim import (
     CASUAL_LOCATION,
@@ -279,6 +280,58 @@ class TestScalarReference:
                 args = (sched, clustering, cfg, cfg.horizon(g), rep)
                 assert _run_replicate(*args) == scalar_replicate(*args)
 
+
+
+class TestBlocks:
+    """simulate runs replicates in blocks; each replicate equals the scalar kernel's."""
+
+    @staticmethod
+    def block_of(monkeypatch, sched, size: int) -> None:
+        """Make the coin budget hold size replicates of sched."""
+        monkeypatch.setattr(episim, "COIN_BLOCK", size * sched.n_events)
+        assert episim._block_size(sched) == size
+
+    @pytest.mark.parametrize("replicates,size,per_day,scale,horizon,days,log,bubbles", [
+        (7, 3, 1.0, 0.5, None, (6, 10), True, "zones"),  # 3 + 3 + 1
+        (5, 1, 2.0, 0.0, 12, (1, 1), True, "zones"),  # blocks of one; recovery inside
+        (10, 4, 0.0, 1.0, None, (6, 10), False, "random"),  # no casual contacts
+        (9, 4, 3.0, 0.5, 3, (6, 10), True, None),  # the horizon cuts outbreaks short
+        (12, 5, 1.0, 0.5, 20, (2, 2), True, "random"),  # recovery inside the horizon
+        (8, 8, 2.0, 0.0, None, (1, 2), False, "random"),  # one whole block
+    ])
+    def test_simulate_equals_scalar(self, monkeypatch, replicates, size, per_day, scale,
+                                    horizon, days, log, bubbles):
+        sched, zones = _pinned_instance(days=6, seed=4)
+        g = sched.graph
+        clustering = {"zones": zones, None: None, "random": random_clustering(
+            g.hcps, g.locations.substitutable, 3, seed=4)}[bubbles]
+        cfg = SimConfig(disease=DiseaseParams(rho=0.03, incubation_days=days[0],
+                                              recovery_days=days[1], cross_bubble_scale=scale),
+                        replicates=replicates, seed=9, horizon_days=horizon,
+                        keep_transmission_log=log,
+                        casual=CasualContactModel(contacts_per_day=per_day))
+        self.block_of(monkeypatch, sched, size)
+        got = simulate(sched, clustering, cfg).results
+        want = tuple(scalar_replicate(sched, clustering, cfg, cfg.horizon(g), rep)
+                     for rep in range(replicates))
+        assert got == want
+        assert max(r.infections for r in got) > 2  # the rows spread, so their coins matter
+        if horizon is not None and horizon < days[0] + days[1]:
+            # an outbreak still infects on the last day, so the horizon cut it short
+            assert any(e.day == horizon - 1 for r in got for e in r.log)
+
+    def test_blocks_span_two_workers(self, monkeypatch):
+        sched, zones = _pinned_instance()
+        cfg = SimConfig(disease=DiseaseParams(rho=0.03), replicates=11, seed=5,
+                        keep_transmission_log=True,
+                        casual=CasualContactModel(contacts_per_day=1.0))
+        self.block_of(monkeypatch, sched, 2)  # six blocks
+        one = simulate(sched, zones, cfg)
+        monkeypatch.setenv("CORN_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert simulate(sched, zones, cfg) == one
+        assert [r.replicate for r in one.results] == list(range(11))
+        assert len({r.infections for r in one.results}) > 1
 
 # -- exact final-size oracle ------------------------------------------------------
 
