@@ -1,7 +1,9 @@
 """Independent reference computations that only the tests use.
 
 mc_directed_weight samples the pickup/deposit process that weight_matrix
-computes in closed form; contact_infection_prob is the per-contact
+computes in closed form; scalar_weights is that closed form one room pair
+and one HCP at a time, with Python floats, which weight_matrix computes a
+whole HCP at a time; contact_infection_prob is the per-contact
 infection rule that the outbreak kernel applies to whole days at once;
 scalar_rewire is rewire's greedy walk one Visit at a time, with one scalar
 rng.integers draw per pick, which rewire replays from the log's columns;
@@ -16,9 +18,9 @@ import numpy as np
 
 from corn.clustering import BubbleClustering
 from corn.errors import ConfigError
-from corn.model import VisitGraph
+from corn.model import VisitGraph, chop_points
 from corn.rewiring import RewiredGraph, check_coverage
-from corn.weights import _event_sequence
+from corn.weights import _event_sequence, _scope_hcps
 
 
 def mc_directed_weight(
@@ -46,6 +48,47 @@ def mc_directed_weight(
             dst_infected |= pre_h & coin
             infected[:, hi] |= pre_dst & coin
     return float(dst_infected.mean())
+
+
+def scalar_weights(
+    g: VisitGraph, z: float, unit_s: int, hcp_scope: str = "all"
+) -> dict[tuple[str, str], float]:
+    """weight_matrix(g, z, unit_s, hcp_scope).w, one room pair and one HCP at a time.
+
+    For each pair, each HCP that visits both rooms merges and sorts their
+    fragments by (start, end, side), the first room being side 0, and adds
+    one term per fragment; HCPs are multiplied in order of their first
+    fragment at any location, then name.
+    """
+    scope = _scope_hcps(g, hcp_scope)
+    idx: dict[str, dict[str, list[tuple[int, int]]]] = {}  # hcp -> location -> fragments
+    for v in g.visits:
+        if v.hcp in scope:
+            cuts = chop_points(v.start_s, v.end_s, unit_s)
+            idx.setdefault(v.hcp, {}).setdefault(v.location, []).extend(zip(cuts, cuts[1:]))
+    locmaps = [idx[h] for h in sorted(idx, key=lambda h: (min(map(min, idx[h].values())), h))]
+    out: dict[tuple[str, str], float] = {}
+    order = sorted(g.locations.substitutable)
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            miss_ab = 1.0
+            miss_ba = 1.0
+            for locmap in locmaps:
+                if a not in locmap or b not in locmap:
+                    continue
+                seq = sorted([(s, e, 0) for s, e in locmap[a]] + [(s, e, 1) for s, e in locmap[b]])
+                total = [len(locmap[a]), len(locmap[b])]
+                seen = [0, 0]
+                pr = [0.0, 0.0]
+                for _, _, side in seq:
+                    other = 1 - side
+                    suf = total[other] - seen[other]
+                    pr[side] += (1.0 - z) ** seen[side] * z * (1.0 - (1.0 - z) ** suf)
+                    seen[side] += 1
+                miss_ab *= 1.0 - pr[0]
+                miss_ba *= 1.0 - pr[1]
+            out[(a, b)] = ((1.0 - miss_ab) + (1.0 - miss_ba)) / 2.0
+    return out
 
 
 def contact_infection_prob(d_minutes: float, beta: float, rho: float) -> float:

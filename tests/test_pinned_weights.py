@@ -2,7 +2,9 @@
 
 data/pinned_weights.json holds the sha256 of repr(sorted(wm.w.items())) for
 weight_matrix on the acceptance LTCF facility and a 15-room version of it,
-at both HCP scopes and three interval lengths. repr prints every float
+at both HCP scopes and three interval lengths, and on LTCF scaled to 60
+rooms (twice the staff, so more HCPs and longer fragment runs per room) at
+scope "all" and 60-s intervals. repr prints every float
 exactly, so any change to a fragment, a pair, or the order in which HCP
 contributions are multiplied shows up here. Rewrite the file only for a
 change that is meant to move them:
@@ -34,6 +36,8 @@ SPECS = {
     "ltcf": LTCF,
     "ltcf15": replace(LTCF, rooms=15, days=7, hallway_nodes=5, hcp_groups=(("n", 6),),
                       non_substitutable=3, corridor_length_m=29.0),
+    "ltcf60": replace(LTCF, rooms=60, hallway_nodes=20, hcp_groups=(("n", 24),),
+                      non_substitutable=12, corridor_length_m=116.0),
 }
 
 
@@ -49,7 +53,8 @@ def _digest(name: str, scope: str, unit: int) -> str:
 
 
 def _cases():
-    return [(name, scope, unit) for name in SPECS for scope in HCP_SCOPES for unit in UNITS]
+    return [(name, scope, unit) for name in ("ltcf", "ltcf15")
+            for scope in HCP_SCOPES for unit in UNITS] + [("ltcf60", "all", 60)]
 
 
 def _key(name: str, scope: str, unit: int) -> str:

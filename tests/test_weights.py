@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corn.errors import ConfigError, TooLargeError
+from corn.model import NS_TYPE
 from corn.weights import (
+    HCP_SCOPES,
     enumerate_directed_weight,
     weight_matrix,
     write_weight_csv,
@@ -18,7 +20,7 @@ from corn.weights import (
 )
 
 from .conftest import chop_graph, make_graph, two_room_graph
-from .oracles import mc_directed_weight
+from .oracles import mc_directed_weight, scalar_weights
 
 
 def random_pair_graph(rng: np.random.Generator, max_hcps: int = 4, max_intervals: int = 6):
@@ -181,11 +183,100 @@ class TestWeightMatrix:
         assert rows[0] == ["loc_a", "loc_b", "weight"]
         assert {(a, b): float(w) for a, b, w in rows[1:]} == wm.w
 
-    @pytest.mark.parametrize("z", [2.0, -0.1, z_from_rho(math.nan, 60)])
+    @pytest.mark.parametrize("z", [2.0, -0.1, z_from_rho(math.nan, 60), "0.5", None, True])
     def test_z_out_of_range_rejected(self, z):
         g = two_room_graph([("p1", "la", 0, 60), ("p1", "lb", 60, 120)])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="z must"):
             weight_matrix(g, z, 60)
+
+    @pytest.mark.parametrize("unit", [60.0, True, "60"])
+    def test_unit_not_an_integer_rejected(self, unit):
+        g = two_room_graph([("p1", "la", 0, 60), ("p1", "lb", 60, 120)])
+        with pytest.raises(ConfigError, match="unit_s"):
+            weight_matrix(g, 0.5, unit)
+
+
+def random_log(rng: np.random.Generator, unit: int):
+    """A log whose weights exercise every branch of weight_matrix's per-HCP pass.
+
+    Zero to five rooms and two non-substitutable locations; substitutable
+    and non-substitutable HCPs (possibly none of the latter, so that scope
+    ns_only is empty) whose visits interleave across rooms and HCPs. Visit
+    lengths leave chop remainders below, at and above half a unit, and one
+    HCP often has more than eight intervals in a room, past which np.sum
+    would add them pairwise. Some visits repeat an earlier visit's interval
+    in another room, as no validated log would, so one HCP has equal
+    intervals in two rooms.
+    """
+    rooms = [f"r{i}" for i in range(int(rng.integers(0, 6)))]
+    locs = {r: "s" for r in rooms} | {"hall": "ns", "desk": "ns"}
+    hcps = {f"n{i}": "g" for i in range(int(rng.integers(1, 5)))}
+    hcps |= {f"x{i}": NS_TYPE for i in range(int(rng.integers(0, 3)))}
+    lengths = [1, unit // 2 - 1, unit // 2, unit - 1, unit, unit + 1, unit + unit // 2 - 1,
+               unit + unit // 2, 2 * unit + unit // 2 + 1, 3 * unit, 6 * unit + unit // 3]
+    rows = []
+    for h in hcps:
+        t = int(rng.integers(0, 3 * unit))
+        for _ in range(int(rng.integers(0, 13))):
+            loc = str(rng.choice(sorted(locs)))
+            length = max(1, lengths[int(rng.integers(len(lengths)))])
+            rows.append((h, loc, t, t + length))
+            if rng.random() < 0.15:
+                rows.append((h, str(rng.choice(sorted(locs))), t, t + length))
+            t += length + int(rng.choice([0, 0, unit // 3, unit]))
+    return make_graph(rows, hcps, locs)
+
+
+def same_bits(g, z, unit, scope) -> bool:
+    """weight_matrix equals the scalar oracle: keys, key order and every float's bits."""
+    got = weight_matrix(g, z, unit, hcp_scope=scope).w
+    want = scalar_weights(g, z, unit, scope)
+    return [(k, float(v).hex()) for k, v in got.items()] == \
+        [(k, float(v).hex()) for k, v in want.items()]
+
+
+class TestAgainstScalarOracle:
+    """weight_matrix against scalar_weights, the per-pair, per-HCP loop it replaced."""
+
+    def test_random_logs(self):
+        rng = np.random.default_rng(2024)
+        for case in range(300):
+            unit = int(rng.choice([7, 45, 60, 100]))
+            g = random_log(rng, unit)
+            z = (0.0, 1.0, float(rng.random()), float(rng.uniform(0, 0.01)))[case % 4]
+            for scope in HCP_SCOPES:
+                assert same_bits(g, z, unit, scope), (case, unit, z, scope, g.visits)
+
+    def test_unit_longer_than_every_visit(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            g = random_log(rng, 60)
+            assert same_bits(g, float(rng.random()), 10**6, "all")
+
+    def test_equal_intervals_in_two_rooms(self):
+        # not a valid log: h1 is in la and lb over the same two intervals, so
+        # the tie in (start, end) goes to the room that sorts first
+        rows = [("h1", "la", 0, 60), ("h1", "lb", 0, 60), ("h1", "lb", 60, 150),
+                ("h1", "la", 60, 150), ("h2", "lb", 30, 90), ("h2", "la", 90, 150),
+                ("h3", "la", 0, 60), ("h3", "lb", 0, 60), ("h3", "lc", 0, 60)]
+        g = make_graph(rows, {"h1": "g", "h2": "g", "h3": "g"},
+                       {"la": "s", "lb": "s", "lc": "s"})
+        for z in (0.0, 0.3, 1.0):
+            assert same_bits(g, z, 60, "all")
+        assert weight_matrix(g, 0.3, 60).get("la", "lb") > 0.0
+
+    @pytest.mark.parametrize("rooms", [0, 1])
+    def test_fewer_than_two_rooms(self, rooms):
+        locs = {f"r{i}": "s" for i in range(rooms)} | {"hall": "ns"}
+        rows = [("h1", loc, 60 * i, 60 * i + 90) for i, loc in enumerate(sorted(locs))]
+        g = make_graph(rows, {"h1": "g"}, locs)
+        assert weight_matrix(g, 0.5, 60).w == {}
+        assert same_bits(g, 0.5, 60, "all")
+
+    def test_empty_scope(self):
+        g = two_room_graph([("p1", "la", 0, 60), ("p1", "lb", 60, 120)])
+        assert weight_matrix(g, 0.5, 60, hcp_scope="ns_only").w == {("la", "lb"): 0.0}
+        assert same_bits(g, 0.5, 60, "ns_only")
 
 
 class TestZFromRho:
