@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, is_integer
 from .weights import WeightMatrix
 
 
@@ -77,14 +77,18 @@ def load_clustering(path: str | Path) -> BubbleClustering:
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
+        k, loc_b, hcp_b = raw["k"], raw["location_bubble"], raw["hcp_bubble"]
+        bad = [v for v in (k, *loc_b.values(), *hcp_b.values()) if not is_integer(v)]
         c = BubbleClustering(
-            k=int(raw["k"]),
-            location_bubble={str(l): int(b) for l, b in raw["location_bubble"].items()},
-            hcp_bubble={str(h): int(b) for h, b in raw["hcp_bubble"].items()},
+            k=k,
+            location_bubble={str(l): b for l, b in loc_b.items()},
+            hcp_bubble={str(h): b for h, b in hcp_b.items()},
             objective_value=None if raw.get("objective_value") is None else float(raw["objective_value"]),
         )
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if bad:
+        raise ParseError(f"{path}: k or bubble index {bad[0]!r} is not an integer")
     c.check()
     if c.objective_value is not None and not math.isfinite(c.objective_value):
         raise ParseError(f"{path}: non-finite objective_value")

@@ -202,8 +202,8 @@ class ContactSchedule:
     build order: resident events in graph order, then pairs by later visit,
     then by earlier visit.
 
-    A RewiredGraph gives the events of rw.graph without building it: they
-    come from its source's columns, with assigned as the HCP column and
+    A RewiredGraph gives the events of the rewired log without building it:
+    they come from its source's columns, with assigned as the HCP column and
     dropped visits left out. The source's order is the rewired log's but
     among visits with equal start and end, which are ordered by their new
     HCP's name; full-key ties, which only an invalid log has, keep source

@@ -6,14 +6,21 @@ empty one. Nodes are pruned by a combinatorial lower bound (committed cut
 + cheapest attachment per unassigned location + a capacity argument over
 still-unassigned pairs) and, on small instances, by an LP relaxation.
 
-Two invariants of the search let that bound read plain slices:
+Three invariants of the search let that bound read plain slices:
 - Unassigned locations are a suffix. Locations are assigned in order, so at
   depth pos the unassigned ones are pos..n-1, and the unassigned pairs are
   those whose lower index is >= pos. Their ascending weights are tabled per
   depth once, for the capacity term.
 - Open bubbles are a prefix. A new bubble is always the first empty one and
   bubbles empty in LIFO order, so the open ones are 0..opened-1 and the
-  attachment costs of the unassigned locations are sum_in[:opened, pos:].
+  attachment costs of the unassigned locations are into[pos, pos:] -
+  sum_in[pos][:opened, pos:].
+- Float state is per depth. into[pos, v], v's weight from the prefix, is a
+  row of cumsum(W); an assignment writes depth pos + 1's sum_in and cut
+  from depth pos's, and backtracking subtracts nothing, so nothing drifts.
+  sum_in[pos][b, v] adds a subsequence of into[pos, v]'s non-negative terms
+  in order, and rounding is monotone, so no cut delta, attachment cost or
+  bound is negative.
 
 HCP-to-bubble assignment never affects the objective, so it is resolved
 per leaf: a feasibility search per group over balanced counts and, when
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..clustering import BubbleClustering, canonicalize, cut_value
-from ..errors import check_nonnegative
+from ..errors import CornError, check_nonnegative
 from .model import TOL, ClusterInstance, IlpModel, balanced
 from .simplex import STATUS_INFEASIBLE as LP_INFEASIBLE
 from .simplex import STATUS_OPTIMAL as LP_OPTIMAL
@@ -190,8 +197,7 @@ def _local_search(
 
 
 class _Search:
-    def __init__(self, model: IlpModel):
-        inst = model.instance
+    def __init__(self, inst: ClusterInstance):
         self.inst = inst
         self.K = inst.k
         locs = inst.locations
@@ -225,9 +231,10 @@ class _Search:
 
         self.size = [0] * self.K
         self.members: list[list[int]] = [[] for _ in range(self.K)]
-        self.sum_in = np.zeros((self.K, self.n))
-        self.total_assigned = np.zeros(self.n)
-        self.committed = 0.0
+        # per depth pos: v's weight from 0..pos-1, and from bubble b; the committed cut
+        self.into = np.vstack([np.zeros(self.n), np.cumsum(self.W, axis=0)])
+        self.sum_in = np.zeros((self.n + 1, self.K, self.n))
+        self.cut = [0.0] * (self.n + 1)
         self.opened = 0
         self.pair_memo: dict[tuple[int, int], float] = {}  # capacity term by (pos, slots)
         self.deficit = self.K * self.flr  # locations the floors still need
@@ -245,25 +252,21 @@ class _Search:
         self.lp_budget = _LP_NODE_BUDGET
         self.hcp_needed = math.isfinite(inst.y_star_h) and bool(inst.groups)
 
-    # -- incremental assignment bookkeeping
+    # -- assignment bookkeeping: u is always the depth pos, so slot pos + 1 is u's
 
-    def _assign(self, u: int, b: int) -> float:
-        delta = self.total_assigned.item(u) - self.sum_in.item(b, u)
+    def _assign(self, u: int, b: int) -> None:
         if self.size[b] == 0:
             self.opened += 1
         if self.size[b] < self.flr:
             self.deficit -= 1
         self.size[b] += 1
         self.members[b].append(u)
-        self.sum_in[b] += self.W[u]
-        self.total_assigned += self.W[u]
-        self.committed += delta
-        return delta
+        nxt = self.sum_in[u + 1]
+        nxt[:] = self.sum_in[u]
+        nxt[b] += self.W[u]
+        self.cut[u + 1] = self.cut[u] + (self.into.item(u, u) - self.sum_in.item(u, b, u))
 
-    def _unassign(self, u: int, b: int, delta: float) -> None:
-        self.committed -= delta
-        self.total_assigned -= self.W[u]
-        self.sum_in[b] -= self.W[u]
+    def _unassign(self, b: int) -> None:
         self.members[b].pop()
         self.size[b] -= 1
         if self.size[b] < self.flr:
@@ -281,15 +284,15 @@ class _Search:
 
     def _comb_bound(self, pos: int) -> float:
         if pos == self.n:
-            return self.committed
+            return self.cut[pos]
         attach = 0.0
         if self.opened:
-            t = self.total_assigned[pos:]
+            t = self.into[pos, pos:]
             roomy = [b for b in range(self.opened) if self.size[b] < self.cap]
             if roomy:
                 # rounding is monotone, so t - max(s) is the min over bubbles of t - s
                 rows = slice(0, self.opened) if len(roomy) == self.opened else roomy
-                best = t - self.sum_in[rows, pos:].max(axis=0)
+                best = t - self.sum_in[pos][rows, pos:].max(axis=0)
                 if self.opened < self.K:
                     np.minimum(best, t, out=best)
             else:  # every open bubble is full, so an empty one remains
@@ -308,7 +311,7 @@ class _Search:
             spill = ws.size - slots
             pairs = float(ws[: spill].sum()) if spill > 0 else 0.0
             self.pair_memo[pos, slots] = pairs
-        return self.committed + attach + pairs
+        return self.cut[pos] + attach + pairs
 
     def _lp_bound(self, pos: int) -> float | None:
         """LP relaxation over e and x; returns a bound or None if infeasible."""
@@ -377,7 +380,7 @@ class _Search:
         if res.status == LP_INFEASIBLE:
             return None
         if res.status != LP_OPTIMAL:
-            return self.committed
+            return self.cut[pos]
         return res.value
 
     # -- leaf handling
@@ -405,12 +408,12 @@ class _Search:
         )
 
     def _close_leaf(self) -> None:
-        if self.committed >= self.cutoff - TOL:
+        if self.cut[self.n] >= self.cutoff - TOL:
             return
         best = self._clustering(self.members)
         if best is None:
             return
-        self.incumbent, self.best = self.committed, best
+        self.incumbent, self.best = self.cut[self.n], best
         self._polish()
         self.cutoff = min(self.incumbent, self.polished + 3 * TOL)
 
@@ -429,36 +432,33 @@ class _Search:
 
     def _greedy(self) -> None:
         """Seed the incumbent with a cheapest-attachment pass, if feasible."""
-        placed: list[tuple[int, int, float]] = []
-        ok = True
+        placed: list[int] = []
         for u in range(self.n):
+            t, s_in = self.into[u, u], self.sum_in[u][:, u]
             cands = []
             for b in range(self.K):
                 if self.size[b] >= self.cap:
                     continue
                 if self.size[b] == 0:
-                    cands.append((self.total_assigned[u], 0, b))
+                    cands.append((t, 0, b))
                     break  # symmetry: one empty bubble is enough
-                cands.append((self.total_assigned[u] - self.sum_in[b, u], self.size[b], b))
+                cands.append((t - s_in[b], self.size[b], b))
             # ties spread over bubbles instead of packing the first one
             cands.sort()
-            chosen = None
             for _, _, b in cands:
                 if not self._diameter_ok(u, b):
                     continue
-                delta = self._assign(u, b)
+                self._assign(u, b)
                 if self._floors_ok(self.n - u - 1):
-                    chosen = (u, b, delta)
+                    placed.append(b)
                     break
-                self._unassign(u, b, delta)
-            if chosen is None:
-                ok = False
+                self._unassign(b)
+            else:  # no bubble takes u
                 break
-            placed.append(chosen)
-        if ok:
+        if len(placed) == self.n:
             self._close_leaf()
-        for u, b, delta in reversed(placed):
-            self._unassign(u, b, delta)
+        for b in reversed(placed):
+            self._unassign(b)
 
     def _dfs(self, pos: int, depth_lp: int) -> None:
         if self.timed_out:
@@ -488,8 +488,8 @@ class _Search:
                 return
 
         u = pos
-        t = self.total_assigned.item(u)
-        s_in = self.sum_in[: self.opened, u].tolist()
+        t = self.into.item(pos, u)
+        s_in = self.sum_in[pos][: self.opened, u].tolist()
         cands = sorted(
             (b for b in range(self.opened) if self.size[b] < self.cap),
             key=lambda b: (t - s_in[b], self.size[b]),
@@ -499,10 +499,10 @@ class _Search:
         for b in cands:
             if not self._diameter_ok(u, b):
                 continue
-            delta = self._assign(u, b)
+            self._assign(u, b)
             if self._floors_ok(self.n - pos - 1):
                 self._dfs(pos + 1, depth_lp - 1)
-            self._unassign(u, b, delta)
+            self._unassign(b)
             if self.timed_out:
                 # unexplored siblings cannot be claimed solved
                 self.frontier_bound = min(self.frontier_bound, self._comb_bound(pos))
@@ -516,12 +516,15 @@ def _finished(c: BubbleClustering, inst: ClusterInstance) -> BubbleClustering:
 
 
 def solve(model: IlpModel, time_limit_s: float | None = None) -> SolveResult:
-    """Exact, deterministic solve; a timeout reports the best bound reached."""
+    """Exact, deterministic solve; a timeout reports the best bound reached.
+
+    A clustering that fails verify_clustering raises CornError, never returns.
+    """
     check_nonnegative(time_limit_s=time_limit_s)
     inst = model.instance
     inst.check()
     t0 = time.monotonic()
-    s = _Search(model)
+    s = _Search(inst)
     if time_limit_s is not None:
         s.deadline = t0 + time_limit_s
     s._greedy()
@@ -531,14 +534,15 @@ def solve(model: IlpModel, time_limit_s: float | None = None) -> SolveResult:
     best = _finished(s.best, inst) if s.best is not None else None
     if s.timed_out and s.polished_best is not None:
         polished = _finished(s.polished_best, inst)
-        if (polished.objective_value < best.objective_value
-                and not verify_clustering(polished, inst)):
+        if polished.objective_value < best.objective_value:
             best = polished
+    bad = verify_clustering(best, inst) if best is not None else []
+    if bad:
+        raise CornError(f"solver output failed verification at k={inst.k}: {bad}")
     obj = best.objective_value if best is not None else None
 
     if s.timed_out:
-        # no cut of probabilities is negative, but the search's float sums can drift below 0
-        bound = max(0.0, min(s.frontier_bound, obj if obj is not None else math.inf))
+        bound = min(s.frontier_bound, obj if obj is not None else math.inf)
         return SolveResult(STATUS_TIMEOUT, best, obj, bound, s.nodes, runtime)
     if best is None:
         return SolveResult(STATUS_INFEASIBLE, None, None, math.inf, s.nodes, runtime)

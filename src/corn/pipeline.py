@@ -52,7 +52,7 @@ from .model import (
     write_location_roster,
     write_mobility_log,
 )
-from .optimizer import ClusterInstance, SolveResult, build_model, solve, verify_clustering
+from .optimizer import ClusterInstance, SolveResult, build_model, solve
 from .optimizer.model import check_k
 from .rewiring import CostReport, compute_costs, random_clustering, rewire, write_cost_csv
 from .spatial import (DistanceMatrix, load_spatial_graph, save_spatial_graph,
@@ -346,9 +346,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
         if res.status != "optimal":
             _write_json(reports / "solves.json", solve_records)
             raise SolveFailure(k, res.status)
-        bad = verify_clustering(res.clustering, inst)
-        if bad:
-            raise CornError(f"post-hoc verification failed at k={k}: {bad}")
         clusterings[k] = res.clustering
         save_clustering(res.clustering, reports / f"clustering_corn_k{k}.json")
 

@@ -34,13 +34,12 @@ A rewiring is its source log plus assigned, the int64 column that the
 walk fills: per source visit, its new HCP's index into hcps.ids, or -1
 where it was dropped. Contact schedules and cost reports both read the
 source log's columns with assigned, and a rewiring spans its source's
-days. Only RewiredGraph.graph, the rewired log built on first read, turns
-the column into HCP names.
+days; none of them builds the rewired log or turns the column into HCP
+names.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from itertools import combinations
@@ -51,7 +50,7 @@ import numpy as np
 
 from .clustering import BubbleClustering, canonicalize
 from .errors import ClusteringMismatchError
-from .model import HcpRoster, LocationRoster, Visit, VisitGraph
+from .model import HcpRoster, LocationRoster, VisitGraph
 from .optimizer.model import check_k
 from .spatial import DistanceMatrix
 
@@ -62,8 +61,7 @@ class RewiredGraph:
 
     Rewiring keeps every visit's interval and location, so the source log's
     columns and assigned describe the rewired log, over the source's days.
-    Like a VisitGraph it gives hcps, locations and day_count; graph builds
-    the rewired log as a VisitGraph on first read, for checks against these.
+    Like a VisitGraph it gives hcps, locations and day_count.
     """
 
     source: VisitGraph
@@ -85,14 +83,6 @@ class RewiredGraph:
     @property
     def day_count(self) -> int:
         return self.source.day_count
-
-    @functools.cached_property
-    def graph(self) -> VisitGraph:
-        """The rewired log: each kept visit under its new HCP, in VisitGraph.build order."""
-        src, ids = self.source, self.hcps.ids
-        return VisitGraph.build(src.hcps, src.locations, [
-            Visit(v.start_s, v.end_s, ids[h], v.location)
-            for v, h in zip(src.visits, self.assigned.tolist()) if h >= 0])
 
 
 def check_coverage(g: VisitGraph | RewiredGraph, c: BubbleClustering) -> None:

@@ -7,7 +7,9 @@ whole HCP at a time; contact_infection_prob is the per-contact
 infection rule that the outbreak kernel applies to whole days at once;
 scalar_rewire is rewire's greedy walk one Visit at a time, with one scalar
 rng.integers draw per pick, which rewire replays from the log's columns;
-assigned_names reads a rewiring's HCP-index column as the walk's names.
+assigned_names reads a rewiring's HCP-index column as the walk's names,
+and rewired_log builds from it the rewired log as a VisitGraph, which
+contact schedules and cost reports never build.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from corn.clustering import BubbleClustering
 from corn.errors import ConfigError
-from corn.model import VisitGraph, chop_points
+from corn.model import Visit, VisitGraph, chop_points
 from corn.rewiring import RewiredGraph, check_coverage
 from corn.weights import _event_sequence, _scope_hcps
 
@@ -156,3 +158,11 @@ def assigned_names(rw: RewiredGraph) -> tuple[str | None, ...]:
     """rw.assigned as HCP names per source visit, None where the visit was dropped."""
     ids = rw.hcps.ids
     return tuple(ids[i] if i >= 0 else None for i in rw.assigned.tolist())
+
+
+def rewired_log(rw: RewiredGraph) -> VisitGraph:
+    """The rewired log: each kept visit under its new HCP, in VisitGraph.build order."""
+    src, ids = rw.source, rw.hcps.ids
+    return VisitGraph.build(src.hcps, src.locations, [
+        Visit(v.start_s, v.end_s, ids[h], v.location)
+        for v, h in zip(src.visits, rw.assigned.tolist()) if h >= 0])

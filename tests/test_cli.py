@@ -25,6 +25,7 @@ from corn.cli import (
     main,
 )
 from corn.episim import DiseaseParams, SimConfig
+from corn.optimizer import branch_bound
 from corn.pipeline import ExperimentConfig
 from corn.synth import FacilitySpec
 
@@ -312,6 +313,23 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         assert "clustering covers different locations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("k", 2.7), ("hcp_bubble", 1.9), ("k", True), ("location_bubble", "2"),
+    ])
+    def test_clustering_indices_must_be_integers(self, inputs, clustering, tmp_path, capsys,
+                                                 field, value):
+        raw = json.loads(clustering.read_text())
+        if field == "k":
+            raw["k"] = value
+        else:
+            raw[field][sorted(raw[field])[0]] = value
+        bad = tmp_path / "fractional.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["simulate", *input_args(inputs), "--rho", "0.002", "--clustering", str(bad),
+                   "--replicates", "1", "--out", str(tmp_path / "s6")])
+        assert rc == EXIT_USAGE
+        assert f"{value!r} is not an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["--rho", "nan"],
         ["--rho", "-0.1"],
@@ -325,6 +343,30 @@ class TestSimulate:
                    "--out", str(tmp_path / "s5")])
         assert rc == EXIT_USAGE
         assert "must be" in capsys.readouterr().err
+
+
+class TestSolverVerifies:
+    """solve verifies every clustering it returns; the commands trust it."""
+
+    @pytest.fixture(autouse=True)
+    def failed_verification(self, monkeypatch):
+        monkeypatch.setattr(branch_bound, "verify_clustering", lambda c, inst: ["planted"])
+
+    def test_cluster_exits_1_and_writes_no_clustering(self, inputs, tmp_path, capsys):
+        out = tmp_path / "c"
+        rc = main(["cluster", *input_args(inputs), "--rho", "0.001", "--k", "2",
+                   "--out", str(out)])
+        assert rc == EXIT_FAIL
+        assert "planted" in capsys.readouterr().err
+        assert not (out / "clustering.json").exists()
+
+    def test_experiment_exits_1(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        tiny_spec().to_json(spec_path)
+        rc = main(["experiment", "--facility", str(spec_path), "--k", "1", "--rho", "0.002",
+                   "--replicates", "1", "--cost-rewirings", "1", "--out", str(tmp_path / "exp")])
+        assert rc == EXIT_FAIL
+        assert "planted" in capsys.readouterr().err
 
 
 class TestExperiment:

@@ -34,7 +34,7 @@ from corn.errors import ConfigError, NotBracketedError
 from corn.rewiring import RewiredGraph, rewire
 
 from .conftest import make_graph, small_logs
-from .oracles import contact_infection_prob
+from .oracles import contact_infection_prob, rewired_log
 
 DAY = 86400
 NO_CASUAL = CasualContactModel(contacts_per_day=0.0)
@@ -190,14 +190,17 @@ def assert_same_schedule(got: ContactSchedule, want: ContactSchedule) -> None:
 
 
 class TestRewiredSchedule:
-    """ContactSchedule(rw) reads rw.source.columns and rw.assigned; rw.graph is the reference."""
+    """ContactSchedule(rw) reads rw.source.columns and rw.assigned.
+
+    rewired_log(rw), the rewired log built as a VisitGraph, is the reference.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(small_logs(), st.integers(0, 3))
     def test_equals_schedule_of_rewired_log(self, log, seed):
         g, c, keep = log
         rw = rewire(g, c, seed, keep_same_bubble_hcp=keep)
-        assert_same_schedule(ContactSchedule(rw), ContactSchedule(rw.graph))
+        assert_same_schedule(ContactSchedule(rw), ContactSchedule(rewired_log(rw)))
         assert rw.day_count == rw.source.day_count
 
     def test_equal_start_and_end_oriented_by_rewired_names(self):
@@ -209,7 +212,7 @@ class TestRewiredSchedule:
                              hcp_bubble={"p1": 1, "p2": 1, "x": 1})
         rw = RewiredGraph(source=g, clustering=c, assigned=np.array([2, 1]))  # x, p2
         s = ContactSchedule(rw)
-        assert_same_schedule(s, ContactSchedule(rw.graph))
+        assert_same_schedule(s, ContactSchedule(rewired_log(rw)))
         hh = s.ev_hh.nonzero()[0]
         assert [(s.ev_a[i], s.ev_b[i]) for i in hh] == [(1, 2)]  # p2 then x
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from corn.clustering import BubbleClustering, canonicalize, cut_value
-from corn.errors import InvalidKError, TooLargeError
+from corn.errors import CornError, InvalidKError, TooLargeError
 from corn.model import HcpRoster, LoadDemandTable
 from corn.optimizer import (
     ClusterInstance,
@@ -296,6 +296,12 @@ class TestVerify:
         bad = BubbleClustering(k=1, location_bubble={"l1": 1, "l2": 1},
                                hcp_bubble={"p1": 1})
         assert verify_clustering(bad, inst) != []
+
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_solve_raises_on_a_failed_verification(self, monkeypatch, limit):
+        monkeypatch.setattr(branch_bound, "verify_clustering", lambda c, inst: ["planted"])
+        with pytest.raises(CornError, match="k=2.*planted"):
+            solve(build_model(four_loc_instance(k=2, with_hcps=2)), time_limit_s=limit)
 
 
 class TestCanonicalize:

@@ -27,7 +27,7 @@ from corn.episim import ContactSchedule
 from corn.rewiring import random_clustering, rewire
 from corn.synth import FacilitySpec, generate_facility, generate_mobility, zone_clustering
 
-from .oracles import assigned_names
+from .oracles import assigned_names, rewired_log
 
 PINNED = Path(__file__).parent / "data" / "pinned_rewiring.json"
 SEEDS = (0, 1, 2)
@@ -108,7 +108,7 @@ def _record() -> dict:
         spec, g, hcps = _facility(name)
         schedules[f"{name}_base"] = _schedule_digest(g)
         schedules[f"{name}_zone_s0"] = _schedule_digest(
-            rewire(g, zone_clustering(spec, hcps), 0).graph)
+            rewired_log(rewire(g, zone_clustering(spec, hcps), 0)))
     return {"assigned": rewired, "schedules": schedules}
 
 

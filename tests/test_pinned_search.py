@@ -24,9 +24,11 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from corn.model import compute_loads_demands
@@ -35,6 +37,7 @@ from corn.spatial import shortest_path_metric
 from corn.synth import generate_facility, generate_mobility
 from corn.weights import weight_matrix, z_from_rho
 
+from .test_optimizer import two_group_instance
 from .test_pinned_rewiring import FACILITIES, _facility
 
 PINNED = Path(__file__).parent / "data" / "pinned_search.json"
@@ -120,13 +123,69 @@ def _counting_clock(monkeypatch):
     monkeypatch.setattr(branch_bound.time, "monotonic", lambda: float(next(ticks)))
 
 
-def test_timeout_bound_is_never_negative(monkeypatch):
-    # on the dense 20-room LTCF at K=3 the search's running sums drift below
-    # zero; a cut of probabilities is not negative, so neither is its bound
-    _counting_clock(monkeypatch)
-    res = solve(build_model(_instance("rooms20_k3")), time_limit_s=7)
-    assert res.status == "timeout"
-    assert 0 <= res.bound <= res.objective
+def test_timeout_bound_is_never_negative(monkeypatch, recorded):
+    # a cut of probabilities is not negative and none is below the optimum, so
+    # every timeout's bound lies between them; the counting clock times the
+    # dense 20-room LTCF at K=3 out after each of 1..399 ticks
+    optimum = float.fromhex(recorded["rooms20_k3"]["objective"])
+    model = build_model(_instance("rooms20_k3"))
+    for limit in range(1, 400):
+        _counting_clock(monkeypatch)
+        res = solve(model, time_limit_s=limit)
+        assert res.status == "timeout"
+        assert 0 <= res.bound <= optimum + 1e-9, (limit, res.bound.hex())
+
+
+def _sequential(rows, n: int) -> np.ndarray:
+    """The rows added one at a time onto zeros, as the search adds them."""
+    total = np.zeros(n)
+    for row in rows:
+        total = total + row
+    return total
+
+
+def _check_state(s, pos: int) -> None:
+    """sum_in, into and cut at depth pos against sums made from members and W."""
+    W = s.W
+    for b in range(s.K):
+        want = _sequential(W[s.members[b]], s.n)
+        assert s.sum_in[pos][b].tobytes() == want.tobytes(), (pos, b)
+    assert s.into[pos].tobytes() == _sequential(W[:pos], s.n).tobytes(), pos
+    bub = np.empty(pos, dtype=np.intp)
+    for b, m in enumerate(s.members):
+        bub[m] = b
+    split = np.triu(bub[:, None] != bub, 1)
+    exact = math.fsum(W[:pos, :pos][split].tolist())
+    assert 0 <= s.cut[pos], pos
+    assert math.isclose(s.cut[pos], exact, rel_tol=1e-12, abs_tol=0.0), (pos, s.cut[pos], exact)
+
+
+def _capped_random(count: int) -> list[ClusterInstance]:
+    rng = np.random.default_rng(24)
+    out: list[ClusterInstance] = []
+    while len(out) < count:
+        inst = two_group_instance(rng)
+        if math.isfinite(inst.d_star_m) or math.isfinite(inst.y_star_h):
+            out.append(inst)
+    return out
+
+
+def test_search_state_is_the_sequential_sum(monkeypatch):
+    # the search keeps its float state per depth, so no backtrack can leave
+    # it off the sums that a fresh walk down the same path makes
+    bound = branch_bound._Search._comb_bound
+    calls = []
+
+    def checked(self, pos):
+        _check_state(self, pos)
+        calls.append(pos)
+        return bound(self, pos)
+
+    monkeypatch.setattr(branch_bound._Search, "_comb_bound", checked)
+    for inst in [_instance("rooms20_k3"), _instance("ltcf_k5_capped"), *_capped_random(5)]:
+        calls.clear()
+        solve(build_model(inst))
+        assert calls
 
 
 def test_timeout_returns_at_least_the_polished_greedy(monkeypatch):

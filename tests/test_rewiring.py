@@ -17,7 +17,7 @@ from corn.spatial import DistanceMatrix
 from corn.synth import generate_facility, generate_mobility
 
 from .conftest import make_graph, small_logs
-from .oracles import assigned_names, scalar_rewire
+from .oracles import assigned_names, rewired_log, scalar_rewire
 from .test_pinned_rewiring import FACILITIES
 
 HOUR = 3600
@@ -97,7 +97,7 @@ class TestGoldenInstance:
         g = golden_graph()
         rw = rewire(g, golden_clustering(), seed=5)
         base = [v for v in g.visits if v.hcp == "p4"]
-        kept = [v for v in rw.graph.visits if v.hcp == "p4"]
+        kept = [v for v in rewired_log(rw).visits if v.hcp == "p4"]
         assert base == kept
 
 
@@ -107,7 +107,7 @@ class TestRewireRules:
         c = golden_clustering()
         for seed in range(10):
             rw = rewire(g, c, seed=seed)
-            for v in rw.graph.visits:
+            for v in rewired_log(rw).visits:
                 if v.hcp == "p4":
                     continue
                 assert c.hcp_bubble[v.hcp] == c.location_bubble[v.location]
@@ -116,7 +116,7 @@ class TestRewireRules:
         g = golden_graph()
         rw = rewire(g, golden_clustering(), seed=3)
         base_labels = sorted((v.start_s, v.end_s, v.location) for v in g.visits)
-        out_labels = [(v.start_s, v.end_s, v.location) for v in rw.graph.visits]
+        out_labels = [(v.start_s, v.end_s, v.location) for v in rewired_log(rw).visits]
         dropped = [(v.start_s, v.end_s, v.location)
                    for v, h in zip(g.visits, assigned_names(rw)) if h is None]
         assert sorted(out_labels + dropped) == base_labels
@@ -125,7 +125,7 @@ class TestRewireRules:
         g = golden_graph()
         a = rewire(g, golden_clustering(), seed=99)
         b = rewire(g, golden_clustering(), seed=99)
-        assert a.graph == b.graph
+        assert rewired_log(a) == rewired_log(b)
         assert np.array_equal(a.assigned, b.assigned)
 
     def test_single_hcp_identity(self):
@@ -134,7 +134,7 @@ class TestRewireRules:
         c = BubbleClustering(k=1, location_bubble={"l1": 1, "l2": 1},
                              hcp_bubble={"p1": 1})
         rw = rewire(g, c, seed=0)
-        assert rw.graph == g
+        assert rewired_log(rw) == g
         assert rw.dropped_count == 0
 
     def test_demand_never_increases(self):
@@ -142,7 +142,7 @@ class TestRewireRules:
         for seed in range(10):
             rw = rewire(g, golden_clustering(), seed=seed)
             before = compute_loads_demands(g).demands
-            after = compute_loads_demands(rw.graph).demands
+            after = compute_loads_demands(rewired_log(rw)).demands
             for l in before:
                 assert after.get(l, 0.0) <= before[l] + 1e-12
 
@@ -158,7 +158,7 @@ class TestRewireRules:
         g = golden_graph()
         for seed in range(10):
             rw = rewire(g, golden_clustering(), seed=seed)
-            assert validate(rw.graph) == []
+            assert validate(rewired_log(rw)) == []
 
     def test_dropped_had_no_candidate(self):
         # recheck the greedy-order claim: at drop time every same-type
@@ -166,6 +166,7 @@ class TestRewireRules:
         g = golden_graph()
         c = golden_clustering()
         rw = rewire(g, c, seed=11)
+        log = rewired_log(rw)
         for v, h in zip(g.visits, assigned_names(rw)):
             if h is not None:
                 continue
@@ -174,7 +175,7 @@ class TestRewireRules:
                        if c.hcp_bubble[p] == bubble
                        and g.hcps.types[p] == g.hcps.types[v.hcp]]
             for p in members:
-                overlaps = [u for u in rw.graph.visits if u.hcp == p
+                overlaps = [u for u in log.visits if u.hcp == p
                             and u.start_s < v.end_s and v.start_s < u.end_s]
                 assert overlaps, f"{p} was free during a dropped visit"
 
@@ -316,7 +317,7 @@ class TestConservation:
             rw = rewire(g, golden_clustering(), seed=seed)
             rep = compute_costs(rw, dist)
             base = compute_loads_demands(g).demands
-            met = compute_loads_demands(rw.graph).demands
+            met = compute_loads_demands(rewired_log(rw)).demands
             for l in ("l1", "l2", "l3", "l4"):
                 assert met.get(l, 0.0) + rep.unmet_demand[l] == pytest.approx(base[l])
 
@@ -339,7 +340,7 @@ def brute_costs(rw, dist: DistanceMatrix) -> dict[str, dict]:
             demand[v.location] += v.duration_s / 3600 / days
         return hours, demand, metres
 
-    (load_b, dem_b, fs_b), (load_r, dem_r, fs_r) = tallies(rw.source), tallies(rw.graph)
+    (load_b, dem_b, fs_b), (load_r, dem_r, fs_r) = tallies(rw.source), tallies(rewired_log(rw))
     return {
         "excess_load": {h: max(0.0, load_r[h] - load_b[h]) for h in load_b},
         "unmet_demand": {l: max(0.0, dem_b[l] - dem_r[l]) for l in dem_b},
@@ -410,7 +411,7 @@ class TestCosts:
                              hcp_bubble={"p1": 1, "q1": 1, "p2": 2})
         rw = rewire(g, c, seed=0)
         assert assigned_names(rw) == ("p2", "p1", "p2", "q1", "p2", None)
-        assert (rw.source.day_count, rw.graph.day_count) == (2, 1)
+        assert (rw.source.day_count, rewired_log(rw).day_count) == (2, 1)
         # simulating the rewiring spans the source's two days, as the experiment arms do
         cfg = SimConfig(disease=DiseaseParams(rho=0.0), replicates=1)
         assert rw.day_count == cfg.horizon(rw.source) == 2
