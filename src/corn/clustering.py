@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, is_integer
+from .errors import ParseError, is_integer, is_number
 from .weights import WeightMatrix
 
 
@@ -79,11 +79,14 @@ def load_clustering(path: str | Path) -> BubbleClustering:
     try:
         k, loc_b, hcp_b = raw["k"], raw["location_bubble"], raw["hcp_bubble"]
         bad = [v for v in (k, *loc_b.values(), *hcp_b.values()) if not is_integer(v)]
+        obj = raw.get("objective_value")
+        if obj is not None and not is_number(obj):
+            raise ParseError(f"{path}: objective_value {obj!r} is not a number")
         c = BubbleClustering(
             k=k,
             location_bubble={str(l): b for l, b in loc_b.items()},
             hcp_bubble={str(h): b for h, b in hcp_b.items()},
-            objective_value=None if raw.get("objective_value") is None else float(raw["objective_value"]),
+            objective_value=None if obj is None else float(obj),
         )
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -56,6 +56,11 @@ def is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def is_number(v) -> bool:
+    """A real number; JSON true is no number, nor is a string that reads as one."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def check_field_types(obj, error: type[CornError]) -> None:
     """error for a dataclass field annotated int or bool (or either | None) of another type."""
     for f in dataclasses.fields(obj):

@@ -2,9 +2,12 @@
 
 Locations are branched in descending incident-weight order. Bubble-index
 symmetry is broken by only ever offering the open bubbles plus the first
-empty one. Nodes are pruned by a combinatorial lower bound (committed cut
-+ cheapest attachment per unassigned location + a capacity argument over
-still-unassigned pairs) and, on small instances, by an LP relaxation.
+empty one, cheapest attachment first, so the first dive is a greedy
+cheapest-attachment descent; it runs before the clock is read. Nodes are
+pruned by a combinatorial lower bound (committed cut + cheapest attachment
+per unassigned location + a capacity argument over still-unassigned pairs)
+and, on small instances, by an LP relaxation in the top three levels: at
+most 4 nodes, once an incumbent exists.
 
 Three invariants of the search let that bound read plain slices:
 - Unassigned locations are a suffix. Locations are assigned in order, so at
@@ -26,20 +29,19 @@ HCP-to-bubble assignment never affects the objective, so it is resolved
 per leaf: a feasibility search per group over balanced counts and, when
 the load-gap cap is finite, per-bubble load coverage.
 
-Polished incumbents. Every accepted leaf, the greedy one included, is
-handed to a balance-preserving local search (`_local_search`: best-
-improvement single moves and pairwise swaps, after Kernighan & Lin 1970
-and Fiduccia & Mattheyses 1982). It keeps sizes in [flr, cap] and never
-joins a too-far pair; under a load-gap cap its result is kept only if its
-HCPs can be assigned. Its cut, recomputed from W, only lowers the cutoff
-that prunes nodes and admits leaves, to min(incumbent, polished + 3*TOL),
-and the search still returns its own best leaf. Without polishing, the
-last leaf the search accepts lies within TOL of the optimum, so below
-polished + 2*TOL: it is still reached and accepted, and from then on both
-searches hold the same incumbent. So the same leaf, with the same
-objective bits, comes back from no more nodes, unless two feasible cuts
-lie between TOL and 3*TOL apart. A timeout returns the better of that
-leaf and the best polished partition.
+Polished incumbents. Every accepted leaf is handed to a balance-preserving
+local search (`_local_search`: best-improvement single moves and pairwise
+swaps, after Kernighan & Lin 1970 and Fiduccia & Mattheyses 1982). It keeps
+sizes in [flr, cap] and never joins a too-far pair; under a load-gap cap
+its result is kept only if its HCPs can be assigned. Its cut, recomputed
+from W, only lowers the cutoff that prunes nodes and admits leaves, to
+min(incumbent, polished + 3*TOL), and the search still returns its own best
+leaf. Without polishing, the last leaf the search accepts lies within TOL
+of the optimum, so below polished + 2*TOL: it is still reached and
+accepted, and from then on both searches hold the same incumbent. So the
+same leaf, with the same objective bits, comes back from no more nodes,
+unless two feasible cuts lie between TOL and 3*TOL apart. A timeout returns
+the better of that leaf and the best polished partition.
 """
 
 from __future__ import annotations
@@ -61,10 +63,8 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_TIMEOUT = "timeout"
 
-# LP bounds run only on instances this small, at most this many times,
-# and only in the top levels of the search
+# LP bounds run only on instances this small, and only in the top levels of the search
 _LP_MAX_LOCATIONS = 15
-_LP_NODE_BUDGET = 200
 _LP_DEPTH = 3
 
 
@@ -236,7 +236,6 @@ class _Search:
         self.sum_in = np.zeros((self.n + 1, self.K, self.n))
         self.cut = [0.0] * (self.n + 1)
         self.opened = 0
-        self.pair_memo: dict[tuple[int, int], float] = {}  # capacity term by (pos, slots)
         self.deficit = self.K * self.flr  # locations the floors still need
 
         self.incumbent = math.inf
@@ -249,7 +248,6 @@ class _Search:
         self.frontier_bound = math.inf
         self.deadline: float | None = None
         self.use_lp = self.n <= _LP_MAX_LOCATIONS
-        self.lp_budget = _LP_NODE_BUDGET
         self.hcp_needed = math.isfinite(inst.y_star_h) and bool(inst.groups)
 
     # -- assignment bookkeeping: u is always the depth pos, so slot pos + 1 is u's
@@ -305,12 +303,9 @@ class _Search:
             take = min(self.cap - s, left)
             slots += take * (take - 1) // 2
             left -= take
-        pairs = self.pair_memo.get((pos, slots))
-        if pairs is None:
-            ws = self.free_w[pos]
-            spill = ws.size - slots
-            pairs = float(ws[: spill].sum()) if spill > 0 else 0.0
-            self.pair_memo[pos, slots] = pairs
+        ws = self.free_w[pos]
+        spill = ws.size - slots
+        pairs = float(ws[: spill].sum()) if spill > 0 else 0.0
         return self.cut[pos] + attach + pairs
 
     def _lp_bound(self, pos: int) -> float | None:
@@ -430,40 +425,12 @@ class _Search:
         if found is not None:
             self.polished, self.polished_best = cut, found
 
-    def _greedy(self) -> None:
-        """Seed the incumbent with a cheapest-attachment pass, if feasible."""
-        placed: list[int] = []
-        for u in range(self.n):
-            t, s_in = self.into[u, u], self.sum_in[u][:, u]
-            cands = []
-            for b in range(self.K):
-                if self.size[b] >= self.cap:
-                    continue
-                if self.size[b] == 0:
-                    cands.append((t, 0, b))
-                    break  # symmetry: one empty bubble is enough
-                cands.append((t - s_in[b], self.size[b], b))
-            # ties spread over bubbles instead of packing the first one
-            cands.sort()
-            for _, _, b in cands:
-                if not self._diameter_ok(u, b):
-                    continue
-                self._assign(u, b)
-                if self._floors_ok(self.n - u - 1):
-                    placed.append(b)
-                    break
-                self._unassign(b)
-            else:  # no bubble takes u
-                break
-        if len(placed) == self.n:
-            self._close_leaf()
-        for b in reversed(placed):
-            self._unassign(b)
-
-    def _dfs(self, pos: int, depth_lp: int) -> None:
+    def _dfs(self, pos: int) -> None:
         if self.timed_out:
             return
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        # the clock is read only after the first dive's n + 1 nodes, so a timeout
+        # returns a clustering whenever that dive finds one
+        if self.deadline is not None and self.nodes > self.n and time.monotonic() > self.deadline:
             self.timed_out = True
             self.frontier_bound = min(self.frontier_bound, self._comb_bound(pos))
             return
@@ -474,13 +441,7 @@ class _Search:
         bound = self._comb_bound(pos)
         if bound >= self.cutoff - TOL:
             return
-        if (
-            self.use_lp
-            and self.lp_budget > 0
-            and depth_lp > 0
-            and math.isfinite(self.incumbent)
-        ):
-            self.lp_budget -= 1
+        if self.use_lp and pos < _LP_DEPTH and math.isfinite(self.incumbent):
             lp = self._lp_bound(pos)
             if lp is None:
                 return
@@ -490,18 +451,19 @@ class _Search:
         u = pos
         t = self.into.item(pos, u)
         s_in = self.sum_in[pos][: self.opened, u].tolist()
-        cands = sorted(
-            (b for b in range(self.opened) if self.size[b] < self.cap),
-            key=lambda b: (t - s_in[b], self.size[b]),
-        )
+        cands = [(t - s_in[b], self.size[b], b) for b in range(self.opened)
+                 if self.size[b] < self.cap]
         if self.opened < self.K:
-            cands.append(self.opened)  # the first empty bubble
-        for b in cands:
+            cands.append((t, 0, self.opened))  # the first empty bubble
+        # an empty bubble ties with the open ones u has no weight into, and wins,
+        # so ties spread over bubbles instead of packing the first one
+        cands.sort()
+        for _, _, b in cands:
             if not self._diameter_ok(u, b):
                 continue
             self._assign(u, b)
             if self._floors_ok(self.n - pos - 1):
-                self._dfs(pos + 1, depth_lp - 1)
+                self._dfs(pos + 1)
             self._unassign(b)
             if self.timed_out:
                 # unexplored siblings cannot be claimed solved
@@ -527,8 +489,7 @@ def solve(model: IlpModel, time_limit_s: float | None = None) -> SolveResult:
     s = _Search(inst)
     if time_limit_s is not None:
         s.deadline = t0 + time_limit_s
-    s._greedy()
-    s._dfs(0, _LP_DEPTH)
+    s._dfs(0)
     runtime = time.monotonic() - t0
 
     best = _finished(s.best, inst) if s.best is not None else None

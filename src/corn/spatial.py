@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DisconnectedError, ParseError
+from .errors import DisconnectedError, ParseError, is_number
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,8 @@ def load_spatial_graph(path: str | Path) -> SpatialGraph:
         for e in raw["edges"]:
             if len(e) != 3:
                 raise ParseError(f"{path}: edge must be [u, v, length_m]: {e}")
+            if not is_number(e[2]):
+                raise ParseError(f"{path}: edge length must be a number: {e}")
             u, v, w = str(e[0]), str(e[1]), float(e[2])
             if u not in node_set or v not in node_set:
                 raise ParseError(f"{path}: edge references unknown node: {e}")

@@ -9,7 +9,8 @@ scalar_rewire is rewire's greedy walk one Visit at a time, with one scalar
 rng.integers draw per pick, which rewire replays from the log's columns;
 assigned_names reads a rewiring's HCP-index column as the walk's names,
 and rewired_log builds from it the rewired log as a VisitGraph, which
-contact schedules and cost reports never build.
+contact schedules and cost reports never build; cheapest_attachment_leaf
+is the greedy descent that the exact search's first dive takes.
 """
 
 from __future__ import annotations
@@ -166,3 +167,48 @@ def rewired_log(rw: RewiredGraph) -> VisitGraph:
     return VisitGraph.build(src.hcps, src.locations, [
         Visit(v.start_s, v.end_s, ids[h], v.location)
         for v, h in zip(src.visits, rw.assigned.tolist()) if h >= 0])
+
+
+def cheapest_attachment_leaf(
+    W: np.ndarray, far: np.ndarray, k: int, flr: int, cap: int
+) -> list[list[int]] | None:
+    """Each bubble's locations, in placement order, after the greedy
+    cheapest-attachment descent; None where it finds no leaf.
+
+    Locations are placed in index order. Location u's cost in bubble b is
+    its weight from the earlier locations minus its weight from b's members,
+    each a float sum in placement order. The candidates are the open bubbles
+    that are not full, keyed (cost, size, b), and the first empty bubble,
+    keyed (cost, 0, b), which wins a tie with an open bubble u has no weight
+    into. u goes to the first candidate in key order that holds no location
+    too far from u and leaves enough locations to fill every bubble to flr;
+    with no such candidate the descent finds no leaf.
+    """
+    W, far = np.asarray(W, dtype=float).tolist(), np.asarray(far, dtype=bool).tolist()
+    n = len(W)
+    members: list[list[int]] = [[] for _ in range(k)]
+    for u in range(n):
+        t = 0.0
+        for v in range(u):
+            t += W[v][u]
+        cands = []
+        for b in range(k):
+            if len(members[b]) >= cap:
+                continue
+            if not members[b]:
+                cands.append((t, 0, b))
+                break
+            s = 0.0
+            for m in members[b]:
+                s += W[m][u]
+            cands.append((t - s, len(members[b]), b))
+        for _, _, b in sorted(cands):
+            if any(far[u][m] for m in members[b]):
+                continue
+            short = sum(max(0, flr - len(m) - (c == b)) for c, m in enumerate(members))
+            if short <= n - u - 1:
+                members[b].append(u)
+                break
+        else:
+            return None
+    return members

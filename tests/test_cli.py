@@ -214,6 +214,17 @@ class TestCluster:
         assert rc == EXIT_USAGE
         assert "must be a number >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", [True, "3.5", " 2 "])
+    def test_edge_length_must_be_a_number(self, inputs, tmp_path, capsys, length):
+        spatial = json.loads((inputs / "spatial.json").read_text())
+        spatial["edges"][0][2] = length
+        path = tmp_path / "spatial.json"
+        path.write_text(json.dumps(spatial))
+        rc = main(["cluster", *input_args(inputs), "--spatial", str(path), "--rho", "0.001",
+                   "--k", "2", "--d-star-m", "100", "--out", str(tmp_path / "c6")])
+        assert rc == EXIT_USAGE
+        assert "edge length must be a number" in capsys.readouterr().err
+
     def test_timeout_exit(self, tmp_path, capsys):
         # 12 locations push past the exact-solver comfort zone instantly
         spec_path = tmp_path / "spec.json"
@@ -329,6 +340,17 @@ class TestSimulate:
                    "--replicates", "1", "--out", str(tmp_path / "s6")])
         assert rc == EXIT_USAGE
         assert f"{value!r} is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "1.5", " 2 "])
+    def test_objective_must_be_a_number(self, inputs, clustering, tmp_path, capsys, value):
+        raw = json.loads(clustering.read_text())
+        raw["objective_value"] = value
+        bad = tmp_path / "objective.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["simulate", *input_args(inputs), "--rho", "0.002", "--clustering", str(bad),
+                   "--replicates", "1", "--out", str(tmp_path / "s7")])
+        assert rc == EXIT_USAGE
+        assert f"objective_value {value!r} is not a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--rho", "nan"],

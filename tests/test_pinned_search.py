@@ -37,6 +37,7 @@ from corn.spatial import shortest_path_metric
 from corn.synth import generate_facility, generate_mobility
 from corn.weights import weight_matrix, z_from_rho
 
+from .oracles import cheapest_attachment_leaf
 from .test_optimizer import two_group_instance
 from .test_pinned_rewiring import FACILITIES, _facility
 
@@ -125,8 +126,9 @@ def _counting_clock(monkeypatch):
 
 def test_timeout_bound_is_never_negative(monkeypatch, recorded):
     # a cut of probabilities is not negative and none is below the optimum, so
-    # every timeout's bound lies between them; the counting clock times the
-    # dense 20-room LTCF at K=3 out after each of 1..399 ticks
+    # every timeout's bound lies between them; the clock is first read after the
+    # first dive's n + 1 nodes, and the counting clock times the dense 20-room
+    # LTCF at K=3 out after each of 1..399 ticks from then on
     optimum = float.fromhex(recorded["rooms20_k3"]["objective"])
     model = build_model(_instance("rooms20_k3"))
     for limit in range(1, 400):
@@ -188,9 +190,9 @@ def test_search_state_is_the_sequential_sum(monkeypatch):
         assert calls
 
 
-def test_timeout_returns_at_least_the_polished_greedy(monkeypatch):
-    # seven nodes in, the search's own best leaf is still the greedy one, and
-    # polishing it lowers the cut
+def test_timeout_returns_at_least_the_polished_first_dive(monkeypatch):
+    # seven nodes after the first dive, the search's own best leaf is still the
+    # first dive's, and polishing it lowers the cut
     polished = []
     polish = branch_bound._Search._polish
 
@@ -207,6 +209,44 @@ def test_timeout_returns_at_least_the_polished_greedy(monkeypatch):
     greedy, polished_greedy = polished[0]
     assert res.objective <= polished_greedy + 1e-9 < greedy
     assert 0 <= res.bound <= res.objective
+
+
+def test_zero_time_limit_returns_a_verified_clustering():
+    # the first dive runs before the clock is read, so even no time at all
+    # returns its polished leaf
+    inst = _instance("rooms20_k3")
+    res = solve(build_model(inst), time_limit_s=0)
+    assert res.status == "timeout"
+    assert verify_clustering(res.clustering, inst) == []
+
+
+def test_first_leaf_is_the_cheapest_attachment_leaf(monkeypatch):
+    # with no incumbent nothing is pruned and no LP runs, so the first leaf the
+    # search closes is the greedy cheapest-attachment descent's, wherever that
+    # descent finds one: on the pinned instances, TestPolishedIncumbents' and
+    # seeded capped ones
+    first = []
+    close = branch_bound._Search._close_leaf
+
+    def recorded(self):
+        if not first:
+            first.append([list(m) for m in self.members])
+        close(self)
+
+    monkeypatch.setattr(branch_bound._Search, "_close_leaf", recorded)
+    rng = np.random.default_rng(20)
+    polished_cases = [two_group_instance(rng) for _ in range(30)]
+    checked = 0
+    for inst in [*map(_instance, LABELS), *polished_cases, *_capped_random(40)]:
+        s = branch_bound._Search(inst)
+        want = cheapest_attachment_leaf(s.W, s.far, s.K, s.flr, s.cap)
+        if want is None:
+            continue
+        first.clear()
+        solve(build_model(inst))
+        assert first == [want]
+        checked += 1
+    assert checked >= 60, checked
 
 
 if __name__ == "__main__":

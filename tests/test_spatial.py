@@ -38,6 +38,12 @@ class TestLoading:
         with pytest.raises(ParseError):
             load_spatial_graph(p)
 
+    @pytest.mark.parametrize("length", [True, "3.5", " 2 "])
+    def test_length_must_be_a_number(self, tmp_path, length):
+        p = write_graph(tmp_path, ["a", "b"], [["a", "b", length]], {"la": "a"})
+        with pytest.raises(ParseError, match="edge length must be a number"):
+            load_spatial_graph(p)
+
     def test_unknown_endpoint(self, tmp_path):
         p = write_graph(tmp_path, ["a"], [["a", "zz", 1.0]], {"la": "a"})
         with pytest.raises(ParseError):
