@@ -37,10 +37,10 @@ u < min(1, rho * dur * shed); IEEE multiplication by a non-negative number
 rounds monotonically, so that test is monotone in rho and the contact has
 a least float64 rho at which it transmits. A target is infected at rho
 exactly when the least of these over its contacts from the seed is <= rho.
-estimate_r0 therefore replays each replicate's draws once per config,
-keeps that least rho per (replicate, target), and counts targets at each
-rho with one comparison: its counts are the kernel's, and calibration's
-bisection steps run no replicates.
+estimate_r0 therefore replays each replicate's draws once, keeps that
+least rho per (replicate, target), and counts the targets at or below
+rho, as the kernel would; calibration takes the least rho whose summed
+count reaches its target, which is an order statistic of the thresholds.
 
 A replicate replays a ContactSchedule, built with numpy from the log's
 columns. A RewiredGraph's schedule is built from its source's columns with
@@ -75,7 +75,6 @@ from .model import SECONDS_PER_DAY, VisitGraph, name_ranks
 from .rewiring import RewiredGraph, check_coverage
 
 CASUAL_LOCATION = "casual"
-R0_TOLERANCE = 0.05  # calibration stops within this fraction of the target R0
 RHO_MAX = 10.0  # calibration gives up when R0 stays below target at this rho
 BOOTSTRAP_DRAWS = 2000  # resamples behind each comparison interval
 COIN_BLOCK = 2**18  # scheduled-contact coins held at once by a block of replicates
@@ -269,23 +268,18 @@ class ContactSchedule:
             x[order] for x in (t, a, b, ev_l, dur, hh))  # ev_l: index into locations.ids
         self.ev_day = self.ev_t // SECONDS_PER_DAY
         self.n_events = len(order)
-        self._thresholds: tuple | None = None  # (key, replicate, least rho) of the last config
 
     def seed_thresholds(self, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         """(replicate, least transmitting rho) per agent the seed of each replicate can infect.
 
         The seed-only replicates of cfg run over at most one infectious span.
-        The pairs do not depend on rho, so the last config's are kept, keyed
-        on it with rho set to 0: calibration asks for them at each of its rhos.
+        The pairs do not depend on cfg's rho.
         """
         horizon = min(cfg.horizon(self.graph), cfg.disease.infectious_span + 1)
-        key = (replace(cfg, disease=replace(cfg.disease, rho=0.0)), horizon)
-        if self._thresholds is None or self._thresholds[0] != key:
-            per_rep = run_replicates(lambda rep: _seed_thresholds(self, cfg, horizon, rep)[1],
-                                     cfg.replicates)
-            reps = np.repeat(np.arange(cfg.replicates), [len(t) for t in per_rep])
-            self._thresholds = (key, reps, np.concatenate(per_rep))
-        return self._thresholds[1:]
+        per_rep = run_replicates(lambda rep: _seed_thresholds(self, cfg, horizon, rep)[1],
+                                 cfg.replicates)
+        reps = np.repeat(np.arange(cfg.replicates), [len(t) for t in per_rep])
+        return reps, np.concatenate(per_rep)
 
 
 def build_contact_schedule(g: VisitGraph | RewiredGraph) -> ContactSchedule:
@@ -671,72 +665,52 @@ class R0Estimate:
         return (self.mean - 1.96 * self.se, self.mean + 1.96 * self.se)
 
 
+def _r0_estimate(reps: np.ndarray, least: np.ndarray, rho: float,
+                 replicates: int) -> R0Estimate:
+    """The R0 estimate at rho from seed_thresholds' (replicate, least rho) pairs."""
+    counts = np.bincount(reps[least <= rho], minlength=replicates).astype(float)
+    se = float(counts.std(ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0
+    return R0Estimate(rho=rho, mean=float(counts.mean()), se=se, replicates=replicates)
+
+
 def estimate_r0(sched: ContactSchedule, rho: float, cfg: SimConfig) -> R0Estimate:
     """Mean secondary infections of the seed with all others non-transmitting.
 
     Each replicate's count is its number of targets whose least transmitting
-    rho is <= rho; sched keeps those for cfg, so a call that changes only rho
-    runs no replicates.
+    rho is <= rho.
     """
     cfg = replace(cfg, disease=replace(cfg.disease, rho=rho))
     cfg.check()
-    reps, least = sched.seed_thresholds(cfg)
-    counts = np.bincount(reps[least <= rho], minlength=cfg.replicates).astype(float)
-    se = float(counts.std(ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0
-    return R0Estimate(rho=rho, mean=float(counts.mean()), se=se, replicates=cfg.replicates)
+    return _r0_estimate(*sched.seed_thresholds(cfg), rho, cfg.replicates)
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
     rho: float
     estimate: R0Estimate
-    evaluations: int
 
 
 def calibrate_rho(g: VisitGraph | ContactSchedule, target_r0: float,
                   cfg: SimConfig) -> CalibrationResult:
-    """Bisection on rho until the R0 estimate is within R0_TOLERANCE of target.
+    """The least rho whose R0 estimate reaches m / R, where m = round(target_r0 * R).
 
-    g is the log, or a schedule already built from it.
+    R is cfg.replicates, and R times the estimate counts the seed thresholds
+    <= rho, so rho is the m-th smallest threshold (0 when m is 0). Ties: if
+    others equal the m-th, the estimate at rho lies above m / R. Raises
+    NotBracketedError when fewer than m thresholds exist or the m-th exceeds
+    RHO_MAX. g is the log, or a schedule already built from it.
     """
     check_nonnegative(target_r0=target_r0)
-    sched = _schedule(g)  # every evaluation counts its one set of thresholds
-    if target_r0 == 0.0:
-        return CalibrationResult(0.0, estimate_r0(sched, 0.0, cfg), 1)
-
-    history: list[R0Estimate] = []
-
-    def est(rho: float) -> R0Estimate:
-        history.append(estimate_r0(sched, rho, cfg))
-        return history[-1]
-
-    hi = 1e-4
-    while est(hi).mean < target_r0:
-        hi *= 4.0
-        if hi > RHO_MAX:
-            top = est(RHO_MAX)
-            if top.mean < target_r0 * (1.0 - R0_TOLERANCE):
-                raise NotBracketedError(
-                    f"target R0 {target_r0:g} unreachable; at rho={RHO_MAX:g} "
-                    f"the estimate is {top.mean:g}")
-            hi = RHO_MAX
-            break
-    lo = 0.0
-    best = history[-1]
-    for _ in range(100):
-        if abs(best.mean - target_r0) <= R0_TOLERANCE * target_r0:
-            return CalibrationResult(best.rho, best, len(history))
-        mid = 0.5 * (lo + hi)
-        e = est(mid)
-        if abs(e.mean - target_r0) < abs(best.mean - target_r0):
-            best = e
-        if e.mean < target_r0:
-            lo = mid
-        else:
-            hi = mid
-    raise NotBracketedError(
-        f"bisection failed to land within {R0_TOLERANCE:.0%} of target {target_r0:g}; "
-        f"closest estimate {best.mean:g} at rho={best.rho:g}")
+    replace(cfg, disease=replace(cfg.disease, rho=0.0)).check()  # cfg's rho is not read
+    reps, least = _schedule(g).seed_thresholds(cfg)
+    # clamp before rounding (round(inf) raises); past the last threshold is the inf appended
+    m = round(min(target_r0 * cfg.replicates, len(least) + 1))
+    rho = float(np.partition(np.append(least, np.inf), m - 1)[m - 1]) if m else 0.0
+    if rho > RHO_MAX:
+        top = _r0_estimate(reps, least, RHO_MAX, cfg.replicates)
+        raise NotBracketedError(f"target R0 {target_r0:g} unreachable; at rho={RHO_MAX:g} "
+                                f"the estimate is {top.mean:g}")
+    return CalibrationResult(rho, _r0_estimate(reps, least, rho, cfg.replicates))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ class SpecError(CornError):
 
 
 class NotBracketedError(CornError):
-    """Calibration target cannot be bracketed by the search interval."""
+    """Calibration target R0 is not reached at any rho up to RHO_MAX."""
 
 
 def check_nonnegative(**values: float | None) -> None:

@@ -259,7 +259,7 @@ def resolve_rho(graph: VisitGraph | ContactSchedule,
     """
     if cfg.rho is not None:
         return cfg.rho, {"rho": cfg.rho, "source": "explicit"}
-    # calibrate_rho sets the rho of each evaluation itself
+    # calibrate_rho does not read the config's rho
     cal_cfg = cfg.sim_config(0.0, cfg.calibration_replicates,
                              derive_seed(cfg.seed, _NS_CALIBRATION))
     cal = calibrate_rho(graph, cfg.target_r0, cal_cfg)
@@ -269,7 +269,6 @@ def resolve_rho(graph: VisitGraph | ContactSchedule,
         "target_r0": cfg.target_r0,
         "estimate_mean": cal.estimate.mean,
         "estimate_ci95": list(cal.estimate.ci95),
-        "evaluations": cal.evaluations,
         "replicates": cfg.calibration_replicates,
     }
 

@@ -445,6 +445,19 @@ class TestExperiment:
         assert not out.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("target", ["inf", "1e308"])
+    def test_unreachable_target_fails_cleanly(self, tmp_path, capsys, target):
+        # target * replicates has no integer round; calibration must still say why
+        spec_path = tmp_path / "spec.json"
+        tiny_spec().to_json(spec_path)
+        rc = main(["experiment", "--facility", str(spec_path), "--target-r0", target,
+                   "--k", "2", "--replicates", "2", "--calibration-replicates", "10",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert f"target R0 {float(target):g} unreachable" in err
+        assert "Traceback" not in err
+
     def test_repeated_k_in_manifest_fails_before_output(self, tmp_path, capsys):
         # a K given twice would run its arms twice and list their metrics rows twice
         manifest = tmp_path / "manifest.json"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import corn.episim
 from corn.clustering import BubbleClustering
 from corn.episim import (
+    RHO_MAX,
     CasualContactModel,
     CalibrationResult,
     ContactSchedule,
@@ -399,16 +400,14 @@ class TestCalibration:
         cal = calibrate_rho(solo_graph(), 0.0, cfg)
         assert cal.rho == 0.0
         assert cal.estimate.mean == 0.0
-        assert cal.evaluations == 1
 
     def test_hits_saturated_target(self):
         # the only contact saturates, so target 1 is met exactly
         cfg = SimConfig(disease=disease(0.0), replicates=40, casual=NO_CASUAL)
         cal = calibrate_rho(solo_graph(), 1.0, cfg)
         assert isinstance(cal, CalibrationResult)
-        assert abs(cal.estimate.mean - 1.0) <= 0.05
+        assert cal.estimate.mean == 1.0
         assert cal.rho > 0.0
-        assert cal.evaluations >= 1
 
     def test_unreachable_target(self):
         # one resident contact caps secondary infections at 1
@@ -416,13 +415,30 @@ class TestCalibration:
         with pytest.raises(NotBracketedError):
             calibrate_rho(solo_graph(), 3.0, cfg)
 
+    @pytest.mark.parametrize("target", [math.inf, 1e308])
+    def test_unbounded_target(self, target):
+        # target * replicates has no integer round
+        cfg = SimConfig(disease=disease(0.0), replicates=40, casual=NO_CASUAL)
+        with pytest.raises(NotBracketedError, match="unreachable"):
+            calibrate_rho(solo_graph(), target, cfg)
+
+    def test_threshold_above_rho_max(self):
+        # one-second visits: every replicate can infect the resident, but only at rho > RHO_MAX
+        rows = [("p1", "la", d * DAY, d * DAY + 1) for d in range(3)]
+        g = make_graph(rows, {"p1": "g1"}, {"la": "s"})
+        cfg = SimConfig(disease=disease(0.0), replicates=40, casual=NO_CASUAL)
+        _, least = ContactSchedule(g).seed_thresholds(cfg)
+        assert len(least) == cfg.replicates and least.max() > RHO_MAX
+        with pytest.raises(NotBracketedError, match="unreachable"):
+            calibrate_rho(g, 1.0, cfg)
+
     def test_negative_target(self):
         cfg = SimConfig(disease=disease(0.0), replicates=10)
         with pytest.raises(ConfigError):
             calibrate_rho(solo_graph(), -1.0, cfg)
 
     def test_nan_target(self, monkeypatch):
-        monkeypatch.setattr(corn.episim, "estimate_r0", None)  # rejected before any run
+        monkeypatch.setattr(corn.episim, "_seed_thresholds", None)  # rejected before any run
         cfg = SimConfig(disease=disease(0.0), replicates=10)
         with pytest.raises(ConfigError):
             calibrate_rho(solo_graph(), math.nan, cfg)
@@ -434,20 +450,21 @@ class TestCalibration:
         monkeypatch.setattr(corn.episim, "build_contact_schedule", None)  # nothing is rebuilt
         assert calibrate_rho(sched, 0.5, cfg) == want
 
-    def test_each_evaluation_runs_once(self, monkeypatch):
+    def test_one_threshold_pass(self, monkeypatch):
         calls = []
+        seed_thresholds = corn.episim._seed_thresholds
 
-        def counted(sched, rho, cfg):
-            calls.append((sched, rho))
-            return estimate_r0(sched, rho, cfg)
+        def counted(sched, cfg, horizon, rep):
+            calls.append((sched, rep))
+            return seed_thresholds(sched, cfg, horizon, rep)
 
-        monkeypatch.setattr(corn.episim, "estimate_r0", counted)
+        monkeypatch.setattr(corn.episim, "_seed_thresholds", counted)
         cfg = SimConfig(disease=disease(0.0), replicates=200, casual=NO_CASUAL)
-        cal = calibrate_rho(solo_graph(), 0.5, cfg)
-        assert cal.evaluations > 2
-        assert len(calls) == cal.evaluations
-        # the one schedule of the graph serves every evaluation
-        assert len({id(sched) for sched, _ in calls}) == 1
+        mine = ContactSchedule(solo_graph())
+        cal = calibrate_rho(mine, 0.5, cfg)
+        # each replicate once, on the schedule calibrate_rho was given
+        assert sorted(rep for _, rep in calls) == list(range(cfg.replicates))
+        assert all(sched is mine for sched, _ in calls)
         assert cal.estimate == estimate_r0(ContactSchedule(solo_graph()), cal.rho, cfg)
 
 

@@ -39,6 +39,7 @@ from corn import episim
 from corn.clustering import BubbleClustering
 from corn.episim import (
     CASUAL_LOCATION,
+    RHO_MAX,
     CasualContactModel,
     ContactSchedule,
     DiseaseParams,
@@ -47,10 +48,12 @@ from corn.episim import (
     TransmissionEvent,
     _run_replicate,
     _seed_thresholds,
+    calibrate_rho,
     estimate_r0,
     shedding,
     simulate,
 )
+from corn.errors import NotBracketedError
 from corn.model import SECONDS_PER_DAY
 from corn.rewiring import random_clustering
 from corn.synth import FacilitySpec, generate_facility, generate_mobility, zone_clustering
@@ -562,6 +565,41 @@ class TestSeedThresholds:
                         horizon_days=7, casual=CasualContactModel(contacts_per_day=2.0))
         quiet = replace(cfg, casual=CasualContactModel(contacts_per_day=0.0))
         assert exact_r0(g, cfg) > exact_r0(g, quiet) + 0.05
+
+
+class TestCalibrationOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(small_logs(), st.sampled_from([0.0, 2.0]), st.integers(0, 2**32 - 1),
+           st.lists(st.one_of(st.floats(0.0, 3.0), st.integers(0, 12).map(lambda m: m / 4)),
+                    min_size=1, max_size=4))
+    def test_rho_is_least_reaching_target(self, drawn, per_day, seed, targets):
+        # the scalar kernel's seed-only counts, summed over replicates, reach
+        # m = round(T * R) at the calibrated rho and not at the float below it
+        g = drawn[0]
+        cfg = SimConfig(disease=DiseaseParams(rho=0.0, incubation_days=2, recovery_days=2),
+                        replicates=4, seed=seed,
+                        casual=CasualContactModel(contacts_per_day=per_day))
+        sched = ContactSchedule(g)
+        horizon = min(cfg.horizon(g), cfg.disease.infectious_span + 1)
+
+        def total(rho: float) -> int:
+            at = replace(cfg, disease=replace(cfg.disease, rho=rho))
+            return sum(scalar_seed_only(sched, at, horizon, rep)["infections_excl_seed"]
+                       for rep in range(cfg.replicates))
+
+        for target in targets:
+            m = round(target * cfg.replicates)
+            try:
+                cal = calibrate_rho(sched, target, cfg)
+            except NotBracketedError:
+                assert total(RHO_MAX) < m
+                continue
+            if m == 0:
+                assert cal.rho == 0.0
+            else:
+                assert total(cal.rho) >= m
+                assert total(float(np.nextafter(cal.rho, 0.0))) < m
+            assert cal.estimate.mean == total(cal.rho) / cfg.replicates
 
 if __name__ == "__main__":
     runs = [f"{json.dumps(name)}: [\n" + ",\n".join(json.dumps(r) for r in reps) + "\n]"
