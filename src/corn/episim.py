@@ -8,16 +8,18 @@ its start with at least one transmitting contact from an infectious agent.
 The kernel therefore handles a day as one batch of array operations: it
 takes the day's scheduled contacts and then its casual ones, keeps those
 with one infectious and one susceptible end, and compares each contact's
-infection probability with its predrawn coin.
+infection probability with its coin.
 
 The kernel runs a block of replicates through each day together. Their
 states are the rows of one (replicates, agents) array: a day gathers its
 scheduled contacts for all rows at once, takes the casual contacts of
 all rows from one list in (day, row) order, and writes every row's new
-infections with one scatter. A block holds as many replicates as keep
-its scheduled coins, one row of n_events doubles each, within COIN_BLOCK.
-Rows share no random numbers, so results do not depend on the block
-size; a single replicate is a block of one.
+infections with one scatter. Each row draws its scheduled coins a day at
+a time, so a block holds one day's coins: it takes as many replicates as
+keep the busiest day's coins within COIN_BLOCK, and no more than a
+worker's share of the replicates. Rows share no random numbers, so
+results do not depend on the block size; a single replicate is a block
+of one.
 
 Transmission log rule: each newly infected agent gets one entry, from its
 first transmitting contact, counting contacts in day order and, within a
@@ -26,9 +28,12 @@ that same order.
 
 Each replicate derives three RNG streams from (master seed, replicate):
 seed choice, contact structure (casual contacts), and transmission coins.
-Coins are predrawn per contact event, scheduled then casual, so the draws
-of a replicate do not depend on rho: they are common random numbers
-across infectivity values.
+The coin stream holds one coin per scheduled contact event, in schedule
+order, then one per casual contact. The kernel reads the scheduled coins
+day by day and the casual ones from a copy of the stream advanced past
+the scheduled ones (PCG64.advance), which gives the same bits as drawing
+the whole stream at once. The draws of a replicate do not depend on rho:
+they are common random numbers across infectivity values.
 
 R0 estimation lets the seed alone transmit, so a replicate's count is the
 number of agents with a transmitting contact from the seed. A contact with
@@ -77,7 +82,7 @@ from .rewiring import RewiredGraph, check_coverage
 CASUAL_LOCATION = "casual"
 RHO_MAX = 10.0  # calibration gives up when R0 stays below target at this rho
 BOOTSTRAP_DRAWS = 2000  # resamples behind each comparison interval
-COIN_BLOCK = 2**18  # scheduled-contact coins held at once by a block of replicates
+COIN_BLOCK = 2**18  # a block's coins: one day's scheduled ones per row, or a quarter in seed spans
 
 
 @dataclass(frozen=True)
@@ -272,14 +277,19 @@ class ContactSchedule:
     def seed_thresholds(self, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         """(replicate, least transmitting rho) per agent the seed of each replicate can infect.
 
-        The seed-only replicates of cfg run over at most one infectious span.
-        The pairs do not depend on cfg's rho.
+        The seed-only replicates of cfg run over at most one infectious span,
+        in blocks whose coins up to the span's end stay within a quarter of
+        COIN_BLOCK. The pairs do not depend on cfg's rho.
         """
         horizon = min(cfg.horizon(self.graph), cfg.disease.infectious_span + 1)
-        per_rep = run_replicates(lambda rep: _seed_thresholds(self, cfg, horizon, rep)[1],
-                                 cfg.replicates)
-        reps = np.repeat(np.arange(cfg.replicates), [len(t) for t in per_rep])
-        return reps, np.concatenate(per_rep)
+        span_events = int(np.searchsorted(self.ev_day, horizon))
+        # a row's seed contacts and their _least_rho arrays take about as much memory as its
+        # span's coins; blocks of the whole budget raised a 30-room study's peak RSS
+        blocks = _blocks(cfg.replicates, COIN_BLOCK // max(1, 4 * span_events))
+        per_block = run_replicates(lambda i: _seed_thresholds(self, cfg, horizon, blocks[i])[1:],
+                                   len(blocks))
+        reps, least = zip(*per_block)
+        return np.concatenate(reps), np.concatenate(least)
 
 
 def build_contact_schedule(g: VisitGraph | RewiredGraph) -> ContactSchedule:
@@ -295,14 +305,13 @@ def _shedding_curve(incubation_days: int, recovery_days: int) -> np.ndarray:
     return curve
 
 
-def _draws(sched: ContactSchedule, cfg: SimConfig, horizon: int, rep: int,
-           u_sched: np.ndarray | None = None) -> tuple:
+def _draws(sched: ContactSchedule, cfg: SimConfig, horizon: int, rep: int) -> tuple:
     """Replicate rep's random numbers, none of which depends on rho.
 
     From its three streams: the seed agent; the day and the two HCPs of each
-    casual contact, in (day, HCP) order; a coin per scheduled contact and
-    one per casual contact. The scheduled coins are written into u_sched
-    when it is given.
+    casual contact, in (day, HCP) order; the coin generator, whose next
+    n_events draws are the scheduled contacts' coins, in schedule order; and
+    the casual contacts' coins, which follow those in the same stream.
     """
     ss = np.random.SeedSequence(cfg.seed, spawn_key=(rep,))
     k_pick, k_struct, k_coin = ss.spawn(3)
@@ -320,14 +329,21 @@ def _draws(sched: ContactSchedule, cfg: SimConfig, horizon: int, rep: int,
         j = rng_struct.integers(nh - 1, size=len(cas_a))
         cas_b = j + (j >= cas_a)
     rng_coin = np.random.default_rng(k_coin)
-    u_sched = rng_coin.random(sched.n_events, out=u_sched)
-    u_casual = rng_coin.random(len(cas_a))
-    return seed_agent, cas_day, cas_a, cas_b, u_sched, u_casual
+    after_sched = np.random.PCG64(k_coin).advance(sched.n_events)  # a copy past their coins
+    u_casual = np.random.Generator(after_sched).random(len(cas_a))
+    return seed_agent, cas_day, cas_a, cas_b, rng_coin, u_casual
 
 
 def _block_size(sched: ContactSchedule) -> int:
-    """Replicates per block: as many as keep the block's scheduled coins within COIN_BLOCK."""
-    return max(1, COIN_BLOCK // max(1, sched.n_events))
+    """Replicates per block: as many as keep the busiest day's coins within COIN_BLOCK."""
+    busiest = np.bincount(sched.ev_day).max(initial=0)
+    return max(1, COIN_BLOCK // max(1, int(busiest)))
+
+
+def _blocks(n: int, size: int) -> list[range]:
+    """range(n) in blocks of at most size replicates, and at most a worker's share of n."""
+    size = max(1, min(size, -(-n // thread_count())))
+    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _run_block(
@@ -341,14 +357,16 @@ def _run_block(
 
     Arrays indexed by a flat position row * n_agents + agent hold the block's
     agents; the casual contacts of all rows form one list in (day, row) order.
+    Each day draws every row's coins for that day's scheduled contacts.
     """
     rows, n = len(reps), sched.n_agents
-    u_sched = np.empty((rows, sched.n_events))
     seeds = np.empty(rows, dtype=np.int64)
+    coins = []
     cas_day, cas_a, cas_b, u_casual = [], [], [], []
     for row, rep in enumerate(reps):
-        seed, day, a, b, _, u = _draws(sched, cfg, horizon, rep, u_sched[row])
+        seed, day, a, b, rng_coin, u = _draws(sched, cfg, horizon, rep)
         seeds[row] = seed
+        coins.append(rng_coin)
         cas_day.append(day)
         cas_a.append(a + row * n)
         cas_b.append(b + row * n)
@@ -368,6 +386,9 @@ def _run_block(
     days = np.arange(horizon + 1)
     ev_off = np.searchsorted(sched.ev_day, days)
     cas_off = np.searchsorted(cas_day, days)
+    for rng_coin in coins:  # the day loop starts on day 1
+        rng_coin.bit_generator.advance(int(ev_off[1]))
+    u_buf = np.empty(rows * int(np.diff(ev_off[1:]).max(initial=0)))
 
     # each agent's bubble; 0 when unclustered, and for everyone without a clustering
     bub = np.zeros(n, dtype=np.int64)
@@ -387,7 +408,7 @@ def _run_block(
     seed_at = np.arange(rows) * n + seeds
     day_of = np.full((rows, n), -1, dtype=np.int64)
     state = np.ones((rows, n), dtype=np.int8)  # 1 susceptible, 2 infectious, 0 neither
-    day_flat, state_flat, u_flat = day_of.reshape(-1), state.reshape(-1), u_sched.reshape(-1)
+    day_flat, state_flat = day_of.reshape(-1), state.reshape(-1)
     day_flat[seed_at] = 0
     state_flat[seed_at] = 0
     empty = np.empty(0, dtype=np.int64)
@@ -408,7 +429,11 @@ def _run_block(
         """
         src = dst = idx = empty
         # scheduled contacts, gathered for all rows: k indexes the (rows, hi - lo) gather
+        # and the day's coins, which every row draws in its stream's order
         lo, hi = ev_off[day], ev_off[day + 1]
+        u = u_buf[:rows * (hi - lo)]
+        for rng_coin, u_row in zip(coins, u.reshape(rows, hi - lo)):
+            rng_coin.random(out=u_row)
         a, b = sched.ev_a[lo:hi], sched.ev_b[lo:hi]
         sa = state.take(a, axis=1).ravel()
         k = (sa * state.take(b, axis=1).ravel() == 2).nonzero()[0]
@@ -418,10 +443,10 @@ def _run_block(
                 row, j = np.divmod(k, hi - lo)
             aj, bj, idx = a[j], b[j], j + lo
             src = np.where(sa[k] == 2, aj, bj)
-            dst, at = aj + bj - src, idx
-            if rows > 1:  # flat positions of the agents and of the coins
-                src, dst, at = src + row * n, dst + row * n, idx + row * sched.n_events
-            ok = transmitting(day, src, idx, ev_rho, ev_damp, u_flat[at])
+            dst = aj + bj - src
+            if rows > 1:  # flat positions of the agents
+                src, dst = src + row * n, dst + row * n
+            ok = transmitting(day, src, idx, ev_rho, ev_damp, u[k])
             src, dst, idx = src[ok], dst[ok], idx[ok]
         # casual contacts of all rows, at flat positions
         clo, chi = cas_off[day], cas_off[day + 1]
@@ -532,28 +557,45 @@ def _least_rho(dur: np.ndarray, shed: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _seed_thresholds(sched: ContactSchedule, cfg: SimConfig, horizon: int,
-                     rep: int) -> tuple[int, np.ndarray]:
-    """The seed of replicate rep, and the least rho at which it infects each agent it can.
+                     reps: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seeds of replicates reps, and the least rho at which each infects each agent it can.
 
     The seed alone transmits, from day 1 to the end of its infectious span
-    or of the horizon, with replicate rep's draws: at rho, the replicate
-    infects the agents whose least rho is <= rho.
+    or of the horizon, with its replicate's draws: at rho, a replicate
+    infects the agents whose least rho is <= rho. Returns the seed of each
+    replicate and the (replicate, least rho) pairs, by replicate and then
+    by agent. A replicate draws its scheduled coins only up to the span's
+    end and reads those of its seed's contacts.
     """
-    seed, cas_day, cas_a, cas_b, u_sched, u_casual = _draws(sched, cfg, horizon, rep)
+    n = sched.n_agents
     d1 = min(cfg.disease.infectious_span + 1, horizon)
-    s0, s1 = np.searchsorted(sched.ev_day, (1, d1))
-    c0, c1 = np.searchsorted(cas_day, (1, d1))
-    a = np.concatenate((sched.ev_a[s0:s1], cas_a[c0:c1]))
-    b = np.concatenate((sched.ev_b[s0:s1], cas_b[c0:c1]))
-    day = np.concatenate((sched.ev_day[s0:s1], cas_day[c0:c1]))
-    dur = np.concatenate((sched.ev_dur[s0:s1], np.full(c1 - c0, cfg.casual.duration_min)))
-    u = np.concatenate((u_sched[s0:s1], u_casual[c0:c1]))
-    mine = ((a == seed) | (b == seed)).nonzero()[0]
+    s0, s1 = (int(x) for x in np.searchsorted(sched.ev_day, (1, d1)))
+    a, b, ev_day, ev_dur = (x[s0:s1] for x in (sched.ev_a, sched.ev_b, sched.ev_day,
+                                                sched.ev_dur))
+    mine: dict[int, np.ndarray] = {}  # per seed, its scheduled contacts in the span
+    u_span = np.empty(s1 - s0)
+    seeds = np.empty(len(reps), dtype=np.int64)
+    target, day, dur, u = [], [], [], []
+    for row, rep in enumerate(reps):
+        seed, cas_day, cas_a, cas_b, rng_coin, u_casual = _draws(sched, cfg, horizon, rep)
+        seeds[row] = seed
+        if seed not in mine:
+            mine[seed] = ((a == seed) | (b == seed)).nonzero()[0]
+        i = mine[seed]
+        rng_coin.bit_generator.advance(s0)
+        rng_coin.random(out=u_span)
+        c0, c1 = np.searchsorted(cas_day, (1, d1))
+        c = ((cas_a[c0:c1] == seed) | (cas_b[c0:c1] == seed)).nonzero()[0] + c0
+        target += [a[i] + b[i] - seed + row * n, cas_a[c] + cas_b[c] - seed + row * n]
+        day += [ev_day[i], cas_day[c]]
+        dur += [ev_dur[i], np.full(len(c), cfg.casual.duration_min)]
+        u += [u_span[i], u_casual[c]]
+    target, day, dur, u = (np.concatenate(x) for x in (target, day, dur, u))
     shed = _shedding_curve(cfg.disease.incubation_days, cfg.disease.recovery_days)
-    rho = _least_rho(dur[mine], shed[day[mine]], u[mine])
-    least = np.full(sched.n_agents, np.nan)
-    np.fmin.at(least, a[mine] + b[mine] - seed, rho)  # fmin skips the nan of "never"
-    return seed, least[~np.isnan(least)]
+    least = np.full(len(reps) * n, np.nan)
+    np.fmin.at(least, target, _least_rho(dur, shed[day], u))  # fmin skips the nan of "never"
+    at = (~np.isnan(least)).nonzero()[0]
+    return seeds, reps.start + at // n, least[at]
 
 
 def thread_count() -> int:
@@ -644,8 +686,7 @@ def simulate(
         check_coverage(graph, clustering)
     sched = _schedule(g)
     horizon = cfg.horizon(graph)
-    size = _block_size(sched)
-    blocks = [range(lo, min(lo + size, cfg.replicates)) for lo in range(0, cfg.replicates, size)]
+    blocks = _blocks(cfg.replicates, _block_size(sched))
     per_block = run_replicates(lambda i: _run_block(sched, clustering, cfg, horizon, blocks[i]),
                                len(blocks))
     results = [r for block in per_block for r in block]

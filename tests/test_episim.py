@@ -454,16 +454,16 @@ class TestCalibration:
         calls = []
         seed_thresholds = corn.episim._seed_thresholds
 
-        def counted(sched, cfg, horizon, rep):
-            calls.append((sched, rep))
-            return seed_thresholds(sched, cfg, horizon, rep)
+        def counted(sched, cfg, horizon, reps):
+            calls.append((sched, reps))
+            return seed_thresholds(sched, cfg, horizon, reps)
 
         monkeypatch.setattr(corn.episim, "_seed_thresholds", counted)
         cfg = SimConfig(disease=disease(0.0), replicates=200, casual=NO_CASUAL)
         mine = ContactSchedule(solo_graph())
         cal = calibrate_rho(mine, 0.5, cfg)
-        # each replicate once, on the schedule calibrate_rho was given
-        assert sorted(rep for _, rep in calls) == list(range(cfg.replicates))
+        # blocks that cover each replicate once, on the schedule calibrate_rho was given
+        assert sorted(rep for _, reps in calls for rep in reps) == list(range(cfg.replicates))
         assert all(sched is mine for sched, _ in calls)
         assert cal.estimate == estimate_r0(ContactSchedule(solo_graph()), cal.rho, cfg)
 

@@ -181,7 +181,7 @@ def _record(kernel=scalar_replicate) -> dict:
 
 def seed_only(sched, cfg: SimConfig, horizon: int, rep: int) -> dict:
     """Seed agent and secondary infections of a seed-only replicate, from its thresholds."""
-    seed, least = _seed_thresholds(sched, cfg, horizon, rep)
+    (seed,), _, least = _seed_thresholds(sched, cfg, horizon, range(rep, rep + 1))
     return {"seed_agent": sched.agent_ids[seed],
             "infections_excl_seed": int((least <= cfg.disease.rho).sum())}
 
@@ -286,13 +286,31 @@ class TestScalarReference:
 
 
 class TestBlocks:
-    """simulate runs replicates in blocks; each replicate equals the scalar kernel's."""
+    """simulate runs replicates in blocks; each replicate equals the scalar kernel's.
+
+    A block draws each row's scheduled coins a day at a time, so these cases
+    also check that the day-sized draws read each row's coin stream in order.
+    """
 
     @staticmethod
     def block_of(monkeypatch, sched, size: int) -> None:
-        """Make the coin budget hold size replicates of sched."""
-        monkeypatch.setattr(episim, "COIN_BLOCK", size * sched.n_events)
+        """Make the coin budget hold size replicates of sched's busiest day."""
+        monkeypatch.setattr(episim, "COIN_BLOCK", size * int(np.bincount(sched.ev_day).max()))
         assert episim._block_size(sched) == size
+
+    @staticmethod
+    def blocks_run(monkeypatch) -> list[range]:
+        """The blocks that simulate runs from now on, in one process."""
+        monkeypatch.delenv("CORN_THREADS", raising=False)
+        ran = []
+        run_block = episim._run_block
+
+        def recorded(sched, clustering, cfg, horizon, reps):
+            ran.append(reps)
+            return run_block(sched, clustering, cfg, horizon, reps)
+
+        monkeypatch.setattr(episim, "_run_block", recorded)
+        return ran
 
     @pytest.mark.parametrize("replicates,size,per_day,scale,horizon,days,log,bubbles", [
         (7, 3, 1.0, 0.5, None, (6, 10), True, "zones"),  # 3 + 3 + 1
@@ -323,18 +341,82 @@ class TestBlocks:
             # an outbreak still infects on the last day, so the horizon cut it short
             assert any(e.day == horizon - 1 for r in got for e in r.log)
 
+    @pytest.mark.parametrize("size", [3, None])  # None: the default budget, one block
+    def test_day_zero_contacts_and_empty_days(self, monkeypatch, size):
+        # contacts on days 0, 1, 4 and 8 of an 11-day horizon: each row skips day 0's
+        # coins, and a day without contacts draws none
+        rooms = ("la", "lb", "lc")
+        rows = [(h, room, d * DAY + i * HOUR // 2, d * DAY + (i + 2) * HOUR // 2)
+                for d in (0, 1, 4, 8) for r, room in enumerate(rooms)
+                for i, h in enumerate((f"p{r + 1}", f"p{(r + 1) % 4 + 1}"))]
+        g = make_graph(rows, {f"p{i}": "a" for i in range(1, 5)}, {r: "s" for r in rooms})
+        sched = ContactSchedule(g)
+        cfg = SimConfig(disease=DiseaseParams(rho=0.02, incubation_days=2, recovery_days=2),
+                        replicates=10, seed=3, horizon_days=11, keep_transmission_log=True,
+                        casual=CasualContactModel(contacts_per_day=1.0))
+        assert sched.ev_day.min() == 0 and set(range(11)) - set(sched.ev_day.tolist())
+        if size is not None:
+            self.block_of(monkeypatch, sched, size)
+        ran = self.blocks_run(monkeypatch)
+        got = simulate(sched, None, cfg).results
+        assert got == tuple(scalar_replicate(sched, None, cfg, 11, rep) for rep in range(10))
+        assert len(ran) == (4 if size else 1)
+        # scheduled contacts transmit on day 1 and after empty days, so those coins matter
+        assert {1, 4, 8} <= {e.day for r in got for e in r.log if e.location != CASUAL_LOCATION}
+
+    def test_rows_end_on_different_days(self, monkeypatch):
+        # one block in which some outbreaks die out days before others infect again
+        sched, zones = _pinned_instance(days=6, seed=4)
+        cfg = SimConfig(disease=DiseaseParams(rho=0.01, incubation_days=1, recovery_days=1),
+                        replicates=30, seed=2, horizon_days=20, keep_transmission_log=True,
+                        casual=CasualContactModel(contacts_per_day=1.0))
+        ran = self.blocks_run(monkeypatch)
+        got = simulate(sched, zones, cfg).results
+        assert ran == [range(30)]
+        assert got == tuple(scalar_replicate(sched, zones, cfg, 20, rep) for rep in range(30))
+        ends = [max((e.day for e in r.log), default=0) for r in got]
+        assert min(ends) + cfg.disease.infectious_span < max(ends)
+
+    def test_default_budget_is_one_block(self, monkeypatch):
+        sched, zones = _pinned_instance()
+        cfg = SimConfig(disease=DiseaseParams(rho=0.03), replicates=80, seed=6,
+                        keep_transmission_log=True,
+                        casual=CasualContactModel(contacts_per_day=1.0))
+        assert episim._block_size(sched) >= cfg.replicates
+        ran = self.blocks_run(monkeypatch)
+        got = simulate(sched, zones, cfg).results
+        assert ran == [range(80)]
+        assert got == tuple(scalar_replicate(sched, zones, cfg, cfg.horizon(sched.graph), rep)
+                            for rep in range(80))
+        assert len({r.infections for r in got}) > 1
+
     def test_blocks_span_two_workers(self, monkeypatch):
+        # two workers get a block each, even when one block could hold every replicate
         sched, zones = _pinned_instance()
         cfg = SimConfig(disease=DiseaseParams(rho=0.03), replicates=11, seed=5,
                         keep_transmission_log=True,
                         casual=CasualContactModel(contacts_per_day=1.0))
-        self.block_of(monkeypatch, sched, 2)  # six blocks
-        one = simulate(sched, zones, cfg)
-        monkeypatch.setenv("CORN_THREADS", "2")
+        jobs = []
+        run_replicates = episim.run_replicates
+
+        def counted(job, n):
+            jobs.append(n)
+            return run_replicates(job, n)
+
+        monkeypatch.setattr(episim, "run_replicates", counted)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert simulate(sched, zones, cfg) == one
-        assert [r.replicate for r in one.results] == list(range(11))
-        assert len({r.infections for r in one.results}) > 1
+        for size, blocks in ((None, (1, 2)), (2, (6, 6))):  # None: the default budget
+            if size is not None:
+                self.block_of(monkeypatch, sched, size)
+            jobs.clear()
+            monkeypatch.delenv("CORN_THREADS", raising=False)
+            one = simulate(sched, zones, cfg)
+            monkeypatch.setenv("CORN_THREADS", "2")
+            assert simulate(sched, zones, cfg) == one
+            assert tuple(jobs) == blocks
+            assert [r.replicate for r in one.results] == list(range(11))
+            assert len({r.infections for r in one.results}) > 1
+
 
 # -- exact final-size oracle ------------------------------------------------------
 
@@ -546,6 +628,34 @@ class TestSeedThresholds:
             mp.setattr(os, "cpu_count", lambda: 2)
             two = ContactSchedule(g).seed_thresholds(cfg)
         assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(two, (reps, least)))
+
+    def test_blocks_smaller_than_replicates(self, monkeypatch):
+        # a budget of two replicates' spans (a quarter of COIN_BLOCK): blocks 0-1, 2-3 and 4
+        sched, _ = _pinned_instance()
+        cfg = SimConfig(disease=DiseaseParams(rho=0.0, incubation_days=2, recovery_days=3),
+                        replicates=5, seed=8, casual=CasualContactModel(contacts_per_day=2.0))
+        horizon = min(cfg.horizon(sched.graph), cfg.disease.infectious_span + 1)
+        whole = sched.seed_thresholds(cfg)
+        monkeypatch.delenv("CORN_THREADS", raising=False)
+        monkeypatch.setattr(episim, "COIN_BLOCK",
+                            4 * 2 * int(np.searchsorted(sched.ev_day, horizon)))
+        ran = []
+        seed_thresholds = episim._seed_thresholds
+
+        def recorded(sched, cfg, horizon, reps):
+            ran.append(reps)
+            return seed_thresholds(sched, cfg, horizon, reps)
+
+        monkeypatch.setattr(episim, "_seed_thresholds", recorded)
+        reps, least = sched.seed_thresholds(cfg)
+        assert ran == [range(0, 2), range(2, 4), range(4, 5)]
+        assert all(np.array_equal(x, y) for x, y in zip((reps, least), whole))
+        for t in np.unique(least):
+            at = replace(cfg, disease=replace(cfg.disease, rho=float(t)))
+            counts = [scalar_seed_only(sched, at, horizon, rep)["infections_excl_seed"]
+                      for rep in range(cfg.replicates)]
+            assert np.bincount(reps[least <= t], minlength=cfg.replicates).tolist() == counts
+        assert len(least) > cfg.replicates  # some seeds can infect several agents
 
     @pytest.mark.parametrize("per_day", [0.0, 2.0])
     def test_estimate_r0_matches_exact_mean(self, per_day):
