@@ -138,9 +138,9 @@ def cmd_synth(args, argv) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     m = _start_manifest("synth", argv, {"spec": spec.to_dict()}, spec.seed,
                         {"spec": sha256_file(args.spec)})
+    facility = generate_facility(spec)  # checks spec, before anything is written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    facility = generate_facility(spec)
     spatial, hcps, locations = facility
     graph = generate_mobility(facility, spec)
     spec.to_json(out / "facility.json")
@@ -244,6 +244,7 @@ def cmd_simulate(args, argv) -> int:
     clustering = load_clustering(args.clustering) if args.clustering else None
     cfg = ExperimentConfig(**_config_fields(args)).sim_config(
         args.rho, args.replicates, args.seed)
+    cfg.check()
     if args.rewire and clustering is None:
         raise ConfigError("--rewire needs --clustering")
     g = rewire(graph, clustering, seed=args.seed) if args.rewire else graph

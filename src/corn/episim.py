@@ -145,6 +145,7 @@ class SimConfig:
         self.casual.check()
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        check_nonnegative(seed=self.seed)
         if self.horizon_days is not None and self.horizon_days < 1:
             raise ConfigError("horizon_days must be >= 1")
 
@@ -341,9 +342,10 @@ def _block_size(sched: ContactSchedule) -> int:
 
 
 def _blocks(n: int, size: int) -> list[range]:
-    """range(n) in blocks of at most size replicates, and at most a worker's share of n."""
-    size = max(1, min(size, -(-n // thread_count())))
-    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    """range(n) in near-equal blocks, larger first: one per worker, more if one would pass size."""
+    count = max(min(n, thread_count()), -(-n // max(1, size)))
+    q, r = divmod(n, count)
+    return [range(b * q + min(b, r), (b + 1) * q + min(b + 1, r)) for b in range(count)]
 
 
 def _run_block(

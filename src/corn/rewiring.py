@@ -24,11 +24,10 @@ HCP's group and its room's bubble and its pinned intervals leave the
 visit free. The walk over the unpinned visits in graph order then checks
 only each candidate's latest claim, candidates in name order.
 
-Draws: a pick among n free candidates is the rng.integers(n) of numpy's
-Generator, which draws nothing for n == 1. ReplayedDraws replays it from
-one block of raw 32-bit draws of the same generator, one per unpinned
-visit, and draws another block only if rejections use it up. So each
-pick is the one a scalar rng.integers(n) call per pick would make.
+Draws: before the walk, rng.random(len(vis)) gives each unpinned visit
+one uniform u, used also when it has one free candidate or none. Of n
+free candidates it takes the int(u * n)-th, which is below n as u <=
+1 - 2**-53; each candidate's chance is off 1/n by at most n/2**53.
 
 A rewiring is its source log plus assigned, the int64 column that the
 walk fills: per source visit, its new HCP's index into hcps.ids, or -1
@@ -40,7 +39,6 @@ names.
 
 from __future__ import annotations
 
-import itertools
 import math
 from itertools import combinations
 from dataclasses import dataclass
@@ -97,32 +95,6 @@ def check_coverage(g: VisitGraph | RewiredGraph, c: BubbleClustering) -> None:
             "clustering covers different HCPs than the graph's substitutable set")
 
 
-class ReplayedDraws:
-    """rng.integers(n) for 1 <= n <= 2**32, replayed from blocks of raw draws.
-
-    numpy's Generator.integers(n) takes Lemire's bounded draw from the
-    generator's 32-bit stream: m = u * n for the next u, again while the
-    low 32 bits of m are below (2**32 - n) % n, and the result is m >> 32;
-    n == 1 draws nothing. rng.integers(0, 2**32, dtype=np.uint32) returns
-    that same stream, so integers(n) here returns what the same sequence
-    of scalar calls on rng would. block raw draws are taken at a time.
-    """
-
-    def __init__(self, rng: np.random.Generator, block: int):
-        blocks = (rng.integers(0, 1 << 32, size=max(1, block), dtype=np.uint32).tolist()
-                  for _ in itertools.count())
-        self.raw = itertools.chain.from_iterable(blocks)
-
-    def integers(self, n: int) -> int:
-        if n == 1:
-            return 0
-        threshold = ((1 << 32) - n) % n
-        m = next(self.raw) * n
-        while m & 0xFFFFFFFF < threshold:
-            m = next(self.raw) * n
-        return m >> 32
-
-
 def rewire(
     g: VisitGraph,
     clustering: BubbleClustering,
@@ -164,14 +136,13 @@ def rewire(
     # the walk: a candidate is free once its latest unpinned claim ends by the start
     bounds = np.searchsorted(pairs, np.arange(len(vis) + 1) * len(cand)).tolist()
     col = (pairs % len(cand)).tolist()
-    draw = ReplayedDraws(np.random.default_rng(seed), len(vis)).integers
+    u = np.random.default_rng(seed).random(len(vis))
     last_end = [-math.inf] * len(cand)  # end of each candidate's latest unpinned claim
     picks = [-1] * len(vis)
-    walk = zip(range(len(vis)), v_start.tolist(), v_end.tolist(), bounds, bounds[1:])
-    for i, s, e, lo, hi in walk:
+    for i, (s, e, lo, hi) in enumerate(zip(v_start.tolist(), v_end.tolist(), bounds, bounds[1:])):
         ok = [c for c in col[lo:hi] if last_end[c] <= s]
         if ok:
-            c = ok[draw(len(ok))]
+            c = ok[int(u[i] * len(ok))]
             picks[i] = cand[c]
             last_end[c] = e
 

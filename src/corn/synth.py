@@ -77,8 +77,8 @@ class FacilitySpec:
             raise SpecError("duplicate group label")
         if any(lab == NS_TYPE for lab, _ in self.hcp_groups):
             raise SpecError(f"group label {NS_TYPE!r} is reserved")
-        if self.non_substitutable < 0:
-            raise SpecError("non_substitutable must be >= 0")
+        if self.non_substitutable < 0 or self.seed < 0:
+            raise SpecError("non_substitutable and seed must be >= 0")
         if not (self.corridor_length_m > 0 and self.room_spur_m > 0):
             raise SpecError("lengths must be positive")
         if not 0 < self.shift_length_h <= 24 or not 0 <= self.shift_start_h < 24:

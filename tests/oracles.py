@@ -5,8 +5,8 @@ computes in closed form; scalar_weights is that closed form one room pair
 and one HCP at a time, with Python floats, which weight_matrix computes a
 whole HCP at a time; contact_infection_prob is the per-contact
 infection rule that the outbreak kernel applies to whole days at once;
-scalar_rewire is rewire's greedy walk one Visit at a time, with one scalar
-rng.integers draw per pick, which rewire replays from the log's columns;
+scalar_rewire is rewire's greedy walk one Visit at a time, with one
+uniform per unpinned visit, which rewire walks from the log's columns;
 assigned_names reads a rewiring's HCP-index column as the walk's names,
 and rewired_log builds from it the rewired log as a VisitGraph, which
 contact schedules and cost reports never build; cheapest_attachment_leaf
@@ -109,8 +109,10 @@ def scalar_rewire(
     """The assigned HCP of each visit of g, walking the visits in graph order.
 
     Pinned visits keep their HCP. Each other visit goes to a free member of
-    its HCP's group in its room's bubble, members in name order, picked by
-    one rng.integers(len(free)) call; with none free it is dropped (None).
+    its HCP's group in its room's bubble, members in name order: the i-th
+    unpinned visit takes free[int(u_i * len(free))], where u is one
+    rng.random call for all unpinned visits, so it draws u_i also when
+    free has one member or none; with none free it is dropped (None).
     HCP p is free when its latest unpinned claim ends at or before the visit
     starts and the last of its pinned intervals that starts before the visit
     ends also ends by then.
@@ -140,15 +142,17 @@ def scalar_rewire(
         j = bisect.bisect_left(iv, (end,))
         return j == 0 or iv[j - 1][1] <= start
 
+    u = iter(rng.random(assigned.count(None)).tolist())
     for i, v in enumerate(g.visits):
         if assigned[i] is not None:
             continue
+        u_i = next(u)
         group = g.hcps.types[v.hcp]
         free = [p for p in members[(group, location_bubble[v.location])]
                 if is_free(p, v.start_s, v.end_s)]
         if not free:
             continue
-        pick = free[int(rng.integers(len(free)))]
+        pick = free[int(u_i * len(free))]
         assigned[i] = pick
         last_end[pick] = v.end_s
 

@@ -520,6 +520,39 @@ class TestExperiment:
         capsys.readouterr()
 
 
+class TestNegativeSeed:
+    """A negative seed is a usage error before any output, not numpy's traceback."""
+
+    def check(self, argv, out, capsys):
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_synth(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        tiny_spec().to_json(spec_path)
+        self.check(["synth", "--spec", str(spec_path), "--seed", "-1"], tmp_path / "x", capsys)
+
+    @pytest.mark.parametrize("rewire", [[], ["--rewire"]])
+    def test_simulate(self, inputs, clustering, tmp_path, capsys, rewire):
+        self.check(["simulate", *input_args(inputs), "--rho", "0.002", "--clustering",
+                    str(clustering), *rewire, "--replicates", "1", "--seed", "-1"],
+                   tmp_path / "x", capsys)
+
+    def test_experiment(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        tiny_spec().to_json(spec_path)
+        self.check(["experiment", "--facility", str(spec_path), "--k", "2", "--rho", "0.002",
+                    "--seed", "-1"], tmp_path / "x", capsys)
+
+    def test_from_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(manifest_text(dict(ExperimentConfig(
+            facility=tiny_spec(), rho=0.002).to_dict(), seed=-1)))
+        self.check(["experiment", "--from-manifest", str(manifest)], tmp_path / "x", capsys)
+
+
 # (command, the call that does its work, the command's own flags)
 _WORK_CALLS = [
     ("synth", "generate_mobility", []),

@@ -312,8 +312,24 @@ class TestBlocks:
         monkeypatch.setattr(episim, "_run_block", recorded)
         return ran
 
+    def test_blocks_are_near_equal_and_within_budget(self, monkeypatch):
+        # a block per worker, or more where one would pass the budget; lengths differ by
+        # at most one, larger first
+        monkeypatch.setenv("CORN_THREADS", "4")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for n, size, lengths in ((5, 100, [2, 1, 1, 1]), (10, 100, [3, 3, 2, 2]),
+                                 (3, 100, [1, 1, 1]), (11, 2, [2, 2, 2, 2, 2, 1]),
+                                 (13, 3, [3, 3, 3, 2, 2])):
+            assert [len(b) for b in episim._blocks(n, size)] == lengths
+        for n, size in itertools.product(range(1, 40), range(1, 12)):
+            blocks = episim._blocks(n, size)
+            got = [len(b) for b in blocks]
+            assert [r for b in blocks for r in b] == list(range(n))
+            assert len(blocks) == max(min(n, 4), -(-n // size))
+            assert max(got) <= size and max(got) - min(got) <= 1 and got == sorted(got)[::-1]
+
     @pytest.mark.parametrize("replicates,size,per_day,scale,horizon,days,log,bubbles", [
-        (7, 3, 1.0, 0.5, None, (6, 10), True, "zones"),  # 3 + 3 + 1
+        (7, 3, 1.0, 0.5, None, (6, 10), True, "zones"),  # 3 + 2 + 2
         (5, 1, 2.0, 0.0, 12, (1, 1), True, "zones"),  # blocks of one; recovery inside
         (10, 4, 0.0, 1.0, None, (6, 10), False, "random"),  # no casual contacts
         (9, 4, 3.0, 0.5, 3, (6, 10), True, None),  # the horizon cuts outbreaks short

@@ -12,7 +12,7 @@ from corn.clustering import BubbleClustering
 from corn.episim import DiseaseParams, SimConfig, simulate
 from corn.errors import ClusteringMismatchError, InvalidKError
 from corn.model import HcpRoster, compute_loads_demands
-from corn.rewiring import ReplayedDraws, compute_costs, random_clustering, rewire, write_cost_csv
+from corn.rewiring import compute_costs, random_clustering, rewire, write_cost_csv
 from corn.spatial import DistanceMatrix
 from corn.synth import generate_facility, generate_mobility
 
@@ -222,7 +222,7 @@ def oracle_graph(name: str):
 
 
 class TestAgainstScalarWalk:
-    """rewire against scalar_rewire, the walk over Visits with one rng.integers call per pick."""
+    """rewire against scalar_rewire, the walk over Visits with one uniform per unpinned visit."""
 
     @pytest.mark.parametrize("keep", [False, True])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -237,9 +237,9 @@ class TestAgainstScalarWalk:
 
     def test_unpinned_hcp_single_candidate_and_drop(self):
         # a2 has no pinned interval, and is r1's only free candidate at 0, as a1 is in
-        # the hall; at 10 it is busy too, so a2's own visit drops; r2's visit draws
-        # between a3 and a4, in name order, not roster order, with the seed's first
-        # draw, since a single candidate draws none
+        # the hall; at 10 it is busy too, so a2's own visit drops; r2's visit picks
+        # between a3 and a4, in name order, not roster order, with the seed's third
+        # uniform, since every unpinned visit draws one, with one candidate or none
         g = make_graph([("a1", "hall", 0, 100), ("a3", "r1", 0, 60), ("a2", "r1", 10, 50),
                         ("a3", "r2", 100, 160)],
                        {"a4": "g", "a3": "g", "a2": "g", "a1": "g"},
@@ -253,60 +253,37 @@ class TestAgainstScalarWalk:
             got = assigned_names(rw)
             assert got == scalar_rewire(g, c, seed)
             assert got[:3] == ("a2", "a1", None)
-            assert got[3] == ("a3", "a4")[np.random.default_rng(seed).integers(2)]
+            assert got[3] == ("a3", "a4")[int(np.random.default_rng(seed).random(3)[2] * 2)]
             last.add(got[3])
         assert last == {"a3", "a4"}
 
 
-class CountingGenerator:
-    """A Generator that counts its integers calls."""
+class TestUniformPicks:
+    """The pick rule on its own terms, since scalar_rewire shares it with rewire."""
 
-    def __init__(self, seed: int):
-        self.rng, self.calls = np.random.default_rng(seed), 0
+    def test_each_free_candidate_is_equally_likely(self):
+        # r1's visit has the two free candidates a1 and a2, r2's visit the three
+        # b1, b2 and b3; every pick's share lies within 4 binomial standard errors
+        g = make_graph([("a1", "r1", 0, 10), ("b1", "r2", 0, 10)],
+                       {"a1": "g", "a2": "g", "b1": "g", "b2": "g", "b3": "g"},
+                       {"r1": "s", "r2": "s"})
+        c = BubbleClustering(k=2, location_bubble={"r1": 1, "r2": 2},
+                             hcp_bubble={"a1": 1, "a2": 1, "b1": 2, "b2": 2, "b3": 2})
+        seeds = 3000
+        picks = [assigned_names(rewire(g, c, seed)) for seed in range(seeds)]
+        for i, members in enumerate([("a1", "a2"), ("b1", "b2", "b3")]):
+            n = len(members)
+            se = (1 / n * (1 - 1 / n) / seeds) ** 0.5
+            for p in members:
+                share = sum(got[i] == p for got in picks) / seeds
+                assert abs(share - 1 / n) < 4 * se, (p, share)
 
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.integers(*args, **kwargs)
-
-
-class TestReplayedDraws:
-    """ReplayedDraws(rng, block).integers(n) against numpy's rng.integers(n).
-
-    This is what fails first if a numpy release changes how Generator.integers
-    draws, and with it every rewiring.
-    """
-
-    @staticmethod
-    def check(ns: list[int], seed: int, block: int) -> int:
-        rng = CountingGenerator(seed)
-        draws = ReplayedDraws(rng, block)
-        want = np.random.default_rng(seed)
-        assert [draws.integers(n) for n in ns] == [int(want.integers(n)) for n in ns]
-        return rng.calls
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_small_bounds(self, seed):
-        ns = [int(n) for n in np.random.default_rng(100 + seed).integers(1, 13, size=500)]
-        assert ns.count(1) > 0
-        assert self.check(ns, seed, block=len(ns)) == 1
-
-    def test_single_choice_draws_nothing(self):
-        assert self.check([1] * 50 + [3], seed=4, block=8) == 1
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_rejections_extend_the_block(self, seed):
-        # n = 2**31 + 1 rejects about half of the raw draws, so one block of
-        # one raw draw per pick runs out
-        ns = [2**31 + 1] * 200 + [2, 5, 1, 7]
-        assert self.check(ns, seed, block=len(ns)) > 1
-
-    def test_small_blocks(self):
-        ns = [int(n) for n in np.random.default_rng(7).integers(1, 40, size=300)]
-        assert self.check(ns, seed=9, block=1) > 200
-        assert self.check(ns, seed=9, block=7) > 20
-
-    def test_largest_bound(self):
-        self.check([2**32, 2**32 - 1, 2**32, 3], seed=5, block=2)
+    def test_largest_uniform_picks_the_last_candidate(self):
+        u = np.nextafter(1.0, 0.0)
+        n = np.arange(1, 10**5 + 1)
+        assert ((u * n).astype(np.int64) == n - 1).all()
+        for n in (2**32, 2**32 - 1):
+            assert int(u * n) == n - 1
 
 
 class TestConservation:
